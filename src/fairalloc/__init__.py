@@ -33,11 +33,8 @@ from .model import (
 from .projections import (
     BatchedLinkProjector,
     DykstraError,
-    LinkSet,
     ProjectionError,
-    feasible_extract,
     project_capped_simplex,
-    project_link,
     project_polyhedron,
 )
 from .solvers import (

@@ -77,28 +77,28 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--domains", type=int, default=None, help="also emit a balanced partition")
     gen.add_argument("--partition-out", default=None, help="partition JSON path (requires --domains)")
 
-    def add_solver_flags(p, with_budget: bool):
+    def add_solver_flags(p):
         p.add_argument("--instance", required=True)
         p.add_argument("--partition", default=None)
         p.add_argument("--alpha", type=float, default=None, help="override the instance's alpha")
         p.add_argument("--lambda", dest="penalty", type=_parse_penalty, default="adaptive",
                        help="reciprocal penalty value, or 'adaptive'")
         p.add_argument("--adapt-tau", type=int, default=30)
-        p.add_argument("--tol-primal", type=float, default=1e-6)
-        p.add_argument("--tol-dual", type=float, default=1e-6)
-        p.add_argument("--max-iters", type=int, default=100_000)
-        if with_budget:
-            p.add_argument("--time-budget", type=float, default=None, help="wall-clock seconds")
 
     sol = sub.add_parser("solve", help="run one algorithm on one instance")
     sol.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    add_solver_flags(sol, with_budget=True)
+    add_solver_flags(sol)
+    # the dynamic scenario sets its own tolerances and round budget
+    sol.add_argument("--tol-primal", type=float, default=1e-6)
+    sol.add_argument("--tol-dual", type=float, default=1e-6)
+    sol.add_argument("--max-iters", type=int, default=100_000)
+    sol.add_argument("--time-budget", type=float, default=None, help="wall-clock seconds")
     sol.add_argument("--out", required=True, help="trace CSV path")
     sol.add_argument("--solution", default=None, help="solution JSON path (default: <out>.solution.json)")
 
     dyn = sub.add_parser("dynamic", help="weight-perturbation scenario with a fixed round budget per event")
     dyn.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    add_solver_flags(dyn, with_budget=False)
+    add_solver_flags(dyn)
     dyn.add_argument("--amplitude", type=_amplitude, required=True)
     dyn.add_argument("--events", type=int, default=20)
     dyn.add_argument("--iters-per-event", type=int, default=10)
@@ -136,19 +136,6 @@ def _load_inputs(args):
     return instance, partition, objective
 
 
-def _solver_config(args, **overrides) -> SolverConfig:
-    kwargs = dict(
-        penalty=args.penalty,
-        adapt_tau=args.adapt_tau,
-        tol_primal=args.tol_primal,
-        tol_dual=args.tol_dual,
-        max_iters=args.max_iters,
-        time_budget=getattr(args, "time_budget", None),
-    )
-    kwargs.update(overrides)
-    return SolverConfig(**kwargs)
-
-
 def _cmd_gen(args) -> int:
     instance = generate_random(
         seed=args.seed,
@@ -174,7 +161,14 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance, partition, objective = _load_inputs(args)
-    config = _solver_config(args)
+    config = SolverConfig(
+        penalty=args.penalty,
+        adapt_tau=args.adapt_tau,
+        tol_primal=args.tol_primal,
+        tol_dual=args.tol_dual,
+        max_iters=args.max_iters,
+        time_budget=args.time_budget,
+    )
     result = solve(instance, partition, args.algorithm, config=config, objective=objective)
     write_trace(result.trace, args.out)
     solution_path = args.solution or (args.out + ".solution.json")
@@ -210,7 +204,7 @@ def _cmd_dynamic(args) -> int:
         iters_per_event=args.iters_per_event,
         seed=args.seed,
     )
-    config = _solver_config(args)
+    config = SolverConfig(penalty=args.penalty, adapt_tau=args.adapt_tau)
     result = run_dynamic(instance, partition, args.algorithm, scenario, config=config)
     write_trace(result.trace, args.out)
     print(

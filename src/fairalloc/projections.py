@@ -14,8 +14,6 @@ same canonical summation used by feasibility checks elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import Instance
@@ -33,15 +31,6 @@ class DykstraError(RuntimeError):
         super().__init__(message)
         self.last_point = last_point
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class LinkSet:
-    """One link's feasible set over its member routes (ascending ids)."""
-
-    link: int
-    routes: tuple[int, ...]
-    capacity: float
 
 
 def _enforce_cap(x: np.ndarray, cap: float) -> None:
@@ -80,15 +69,6 @@ def project_capped_simplex(values: np.ndarray, cap: float) -> np.ndarray:
     x = np.maximum(y - theta, 0.0)
     _enforce_cap(x, cap)
     return x
-
-
-def project_link(link_set: LinkSet, values: np.ndarray) -> np.ndarray:
-    y = np.asarray(values, dtype=np.float64)
-    if y.shape != (len(link_set.routes),):
-        raise ProjectionError(
-            f"link {link_set.link}: expected {len(link_set.routes)} values, got shape {y.shape}"
-        )
-    return project_capped_simplex(y, link_set.capacity)
 
 
 class BatchedLinkProjector:
@@ -167,29 +147,6 @@ def _enforce_caps(
         at = row_starts[still] + np.argmax(padded[still], axis=1)
         x[at] = np.maximum(x[at] - (totals[still] - caps[still]), 0.0)
     raise ProjectionError("could not repair rounding excess")  # pragma: no cover
-
-
-def feasible_extract(instance: Instance, link_values: dict[int, np.ndarray]) -> np.ndarray:
-    """Per-route minimum over the per-link copy vectors.
-
-    If every ``link_values[j]`` lies in link ``j``'s capped simplex, the
-    extract is feasible for the whole instance: on each link the extract is
-    dominated coordinatewise by that link's copy, and link loads are computed
-    with the same monotone summation used to verify the copies.
-    """
-    inc = instance.incidence
-    out = np.full(instance.n_routes, np.inf)
-    for j in range(instance.n_links):
-        members = inc.members(j)
-        if members.size == 0:
-            continue
-        vals = np.asarray(link_values[j], dtype=np.float64)
-        if vals.shape != members.shape:
-            raise ProjectionError(f"link {j}: expected {members.size} values, got {vals.size}")
-        np.minimum.at(out, members, vals)
-    if np.any(np.isinf(out)):
-        raise ProjectionError("some route traverses no link with a supplied value")
-    return out
 
 
 def project_polyhedron(

@@ -14,6 +14,17 @@ A dual-gradient baseline (``lagr``) with the classic multiplicative step rule
 is included for comparison; its iterates are generally infeasible until
 convergence.
 
+One loop in ``solve`` runs all three.  Each state dataclass (``FdState``,
+``CadmmState``, ``LagrState``) carries its ``ConsensusIndex`` and exposes
+the allocation it deploys (``allocation``) and its penalty-scaled dual
+arrays (``dual_arrays``, empty for ``lagr``).  The table ``METHODS`` maps
+each algorithm name to its initial-state function ``init(index, penalty)``
+and its step.  ``solve`` builds the index once, or takes it from a warm
+state, and every round it adapts the penalty, takes a step, scores the
+allocation from one ``link_loads`` pass and tests whether to stop.  A new
+penalty, at a warm-start handoff or from the adaptive rule, is installed by
+one helper that rescales the duals.
+
 Bit-reproducibility: every order-sensitive reduction goes through
 ``numerics.segment_sums``/``canonical_sum`` on copies ordered by
 (route, domain, link).  Running one round here and one synchronous round of
@@ -24,8 +35,8 @@ values, because both reduce identical operand sequences with identical trees.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,12 +48,14 @@ from .fairness import (
     prox_values,
     utility,
 )
-from .model import Instance, Partition, is_feasible, link_loads, single_domain
-from .numerics import canonical_sum, segment_mins, segment_sums
+from .model import Instance, Partition, link_loads, single_domain
+from .numerics import segment_mins, segment_sums
 from .projections import BatchedLinkProjector, project_polyhedron
-from .trace import TraceRow, relative_gap, violated_percentage
+from .trace import TraceRow, overloaded_percentage, relative_gap
 
 ALGORITHMS = ("fd-admm", "c-admm", "lagr")
+# Dykstra stopping tolerance of every c-admm projection
+DYKSTRA_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -63,7 +76,6 @@ class SolverConfig:
     tol_dual: float = 1e-6
     max_iters: int = 100_000
     time_budget: float | None = None
-    dykstra_tol: float = 1e-10
     record_trace: bool = True
     record_allocations: bool = False
 
@@ -95,7 +107,6 @@ class ConsensusIndex:
     def __init__(self, instance: Instance, partition: Partition):
         inc = instance.incidence
         self.instance = instance
-        self.partition = partition
         self.n_routes = instance.n_routes
         self.n_links = instance.n_links
         self.capacities = instance.capacities
@@ -113,10 +124,9 @@ class ConsensusIndex:
         new_group = np.ones(self.n_copies, dtype=bool)
         new_group[1:] = (route_rd[1:] != route_rd[:-1]) | (dom_rd[1:] != dom_rd[:-1])
         self.rd_starts = np.nonzero(new_group)[0]
-        self.group_route = route_rd[self.rd_starts]
-        self.group_domain = dom_rd[self.rd_starts]
-        new_route_group = np.ones(self.group_route.size, dtype=bool)
-        new_route_group[1:] = self.group_route[1:] != self.group_route[:-1]
+        group_route = route_rd[self.rd_starts]
+        new_route_group = np.ones(group_route.size, dtype=bool)
+        new_route_group[1:] = group_route[1:] != group_route[:-1]
         self.route_group_starts = np.nonzero(new_route_group)[0]
         new_route = np.ones(self.n_copies, dtype=bool)
         new_route[1:] = route_rd[1:] != route_rd[:-1]
@@ -124,7 +134,6 @@ class ConsensusIndex:
         if self.route_group_starts.size != self.n_routes:
             raise SolverError("every route must traverse at least one link")
         sizes = np.diff(np.append(self.route_starts_rd, self.n_copies))
-        self.route_sizes = sizes
         self.route_divisor = (sizes + 1).astype(np.float64)
         self.bottlenecks = segment_mins(self.capacities[self.copy_link[self.perm_rd]], self.route_starts_rd)
         self.projector = BatchedLinkProjector(self.link_starts, self.capacities)
@@ -150,53 +159,32 @@ class FdState:
     iteration: int = 0
     residuals: Residuals = field(default_factory=lambda: Residuals(np.inf, np.inf))
 
-    def clone(self) -> "FdState":
-        return FdState(
-            index=self.index,
-            link_values=self.link_values.copy(),
-            link_duals=self.link_duals.copy(),
-            route_values=self.route_values.copy(),
-            route_duals=self.route_duals.copy(),
-            consensus=self.consensus.copy(),
-            extract=self.extract.copy(),
-            sent_values=self.sent_values.copy(),
-            sent_mins=self.sent_mins.copy(),
-            penalty=self.penalty,
-            iteration=self.iteration,
-            residuals=self.residuals,
-        )
+    @property
+    def allocation(self) -> np.ndarray:
+        return self.extract
+
+    @property
+    def dual_arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.link_duals, self.route_duals)
 
 
-@dataclass(frozen=True)
-class DomainOutboxes:
-    """Messages produced by one round: one (aggregate, minimum) pair per
-    (route, owning domain) group, delivered to every other domain sharing
-    the route."""
-
-    index: ConsensusIndex
-    values: np.ndarray
-    mins: np.ndarray
-
-    def messages(self) -> Iterator[tuple[int, int, int, float, float]]:
-        """Yield ``(sender, receiver, route, value, feasible_value)``."""
-        domains_of_route = self.index.partition.domains_of_route
-        for g in range(self.index.group_route.size):
-            r = int(self.index.group_route[g])
-            p = int(self.index.group_domain[g])
-            for q in domains_of_route[r]:
-                if q != 0 and q != p:
-                    yield p, q, r, float(self.values[g]), float(self.mins[g])
+def _equal_split_copies(index: ConsensusIndex) -> np.ndarray:
+    """Per-link copies, incidence order: each link's capacity over its routes."""
+    sizes = np.diff(index.link_starts).astype(np.float64)
+    return index.capacities[index.copy_link] / sizes[index.copy_link]
 
 
 def initial_state(index: ConsensusIndex, penalty: PenaltyState) -> FdState:
     """Equal-split start: each link divides its capacity among member routes.
 
-    Every per-link copy vector then lies inside its capped simplex, so the
-    extract is feasible from iteration zero; all duals start at zero, which
-    pins the all-copy dual sum of every route at zero for the whole run.
+    All duals start at zero, which pins the all-copy dual sum of every route
+    at zero for the whole run.  ``C/n`` summed ``n`` times can round a few
+    ulps above ``C``, so the iteration-0 extract may exceed a cap by that
+    much; ``solve`` never deploys it, only the extracts after each round's
+    projection, which are exactly feasible (:func:`equal_split_extract` is
+    the exactly feasible form of this start).
     """
-    sizes = np.diff(index.link_starts).astype(np.float64)
-    link_values = index.capacities[index.copy_link] / sizes[index.copy_link]
+    link_values = _equal_split_copies(index)
     vals_rd = link_values[index.perm_rd]
     sent_values = segment_sums(vals_rd, index.rd_starts)
     sent_mins = segment_mins(vals_rd, index.rd_starts)
@@ -215,7 +203,7 @@ def initial_state(index: ConsensusIndex, penalty: PenaltyState) -> FdState:
     )
 
 
-def fdadmm_round(state: FdState, objective: FairnessObjective) -> tuple[FdState, DomainOutboxes]:
+def fdadmm_round(state: FdState, objective: FairnessObjective) -> FdState:
     """One synchronous round: average, dual step, project links, prox route.
 
     The averaging consumes the (route, domain) aggregates computed at the end
@@ -253,7 +241,7 @@ def fdadmm_round(state: FdState, objective: FairnessObjective) -> tuple[FdState,
     state.consensus = consensus
     state.iteration += 1
     state.residuals = Residuals(primal=primal, dual=dual_res)
-    return state, DomainOutboxes(index=idx, values=state.sent_values, mins=state.sent_mins)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +249,7 @@ def fdadmm_round(state: FdState, objective: FairnessObjective) -> tuple[FdState,
 
 @dataclass
 class CadmmState:
+    index: ConsensusIndex
     x: np.ndarray
     z: np.ndarray
     dual: np.ndarray
@@ -269,16 +258,13 @@ class CadmmState:
     iteration: int = 0
     residuals: Residuals = field(default_factory=lambda: Residuals(np.inf, np.inf))
 
-    def clone(self) -> "CadmmState":
-        return CadmmState(
-            x=self.x.copy(),
-            z=self.z.copy(),
-            dual=self.dual.copy(),
-            extract=self.extract.copy(),
-            penalty=self.penalty,
-            iteration=self.iteration,
-            residuals=self.residuals,
-        )
+    @property
+    def allocation(self) -> np.ndarray:
+        return self.extract
+
+    @property
+    def dual_arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.dual,)
 
 
 def _scale_to_feasible(instance: Instance, point: np.ndarray) -> np.ndarray:
@@ -297,36 +283,37 @@ def _scale_to_feasible(instance: Instance, point: np.ndarray) -> np.ndarray:
 
 
 def equal_split_extract(instance: Instance) -> np.ndarray:
-    """The allocation a freshly initialized solver deploys before any round:
-    each link divides its capacity equally among its routes and every route
-    takes the minimum over its links.  Strictly positive and feasible."""
-    index = ConsensusIndex(instance, single_domain(instance))
-    sizes = np.diff(index.link_starts).astype(np.float64)
-    link_values = index.capacities[index.copy_link] / sizes[index.copy_link]
-    return segment_mins(link_values[index.perm_rd], index.route_starts_rd)
+    """The allocation served before any round: each link divides its
+    capacity equally among its routes and every route takes the minimum over
+    its links, scaled to exact feasibility (``C/n`` summed ``n`` times can
+    round above ``C``).  Strictly positive."""
+    inc = instance.incidence
+    sizes = np.diff(inc.link_starts).astype(np.float64)
+    split = np.full(instance.n_routes, np.inf)
+    np.minimum.at(split, inc.copy_route, instance.capacities[inc.copy_link] / sizes[inc.copy_link])
+    if np.isinf(split).any():
+        raise SolverError("every route must traverse at least one link")
+    return _scale_to_feasible(instance, split)
 
 
-def initial_cadmm_state(instance: Instance, penalty: PenaltyState) -> CadmmState:
-    extract = equal_split_extract(instance)
+def initial_cadmm_state(index: ConsensusIndex, penalty: PenaltyState) -> CadmmState:
+    """Equal-split start, unscaled: its extract is replaced after the first step."""
+    split = segment_mins(_equal_split_copies(index)[index.perm_rd], index.route_starts_rd)
     return CadmmState(
-        x=extract.copy(),
-        z=extract.copy(),
-        dual=np.zeros(instance.n_routes),
-        extract=extract,
+        index=index,
+        x=split.copy(),
+        z=split.copy(),
+        dual=np.zeros(index.n_routes),
+        extract=split,
         penalty=penalty,
     )
 
 
-def cadmm_step(
-    state: CadmmState,
-    instance: Instance,
-    objective: FairnessObjective,
-    dykstra_tol: float = 1e-10,
-) -> CadmmState:
+def cadmm_step(state: CadmmState, instance: Instance, objective: FairnessObjective) -> CadmmState:
     """One iteration: prox of the utility, project onto the polyhedron, dual step."""
     lam = state.penalty.value
     x = prox_values(objective.alpha, objective.weights, state.z - state.dual, lam)
-    z = project_polyhedron(instance, x + state.dual, tolerance=dykstra_tol)
+    z = project_polyhedron(instance, x + state.dual, tolerance=DYKSTRA_TOL)
     state.dual += x - z
     state.residuals = Residuals(
         primal=float(np.max(np.abs(x - z))),
@@ -344,22 +331,24 @@ def cadmm_step(
 
 @dataclass
 class LagrState:
+    index: ConsensusIndex
     x: np.ndarray
     multipliers: np.ndarray
     iteration: int = 0
     residuals: Residuals = field(default_factory=lambda: Residuals(np.inf, np.inf))
 
-    def clone(self) -> "LagrState":
-        return LagrState(
-            x=self.x.copy(),
-            multipliers=self.multipliers.copy(),
-            iteration=self.iteration,
-            residuals=self.residuals,
-        )
+    @property
+    def allocation(self) -> np.ndarray:
+        return self.x
+
+    @property
+    def dual_arrays(self) -> tuple[np.ndarray, ...]:
+        return ()
 
 
-def initial_lagr_state(instance: Instance) -> LagrState:
-    return LagrState(x=np.zeros(instance.n_routes), multipliers=np.ones(instance.n_links))
+def initial_lagr_state(index: ConsensusIndex, penalty: PenaltyState) -> LagrState:
+    """Zero rates, unit prices; the dual-gradient step takes no penalty."""
+    return LagrState(index=index, x=np.zeros(index.n_routes), multipliers=np.ones(index.n_links))
 
 
 def lagr_step(state: LagrState, index: ConsensusIndex, objective: FairnessObjective) -> LagrState:
@@ -395,6 +384,21 @@ def lagr_step(state: LagrState, index: ConsensusIndex, objective: FairnessObject
 # ---------------------------------------------------------------------------
 # driver
 
+class Method(NamedTuple):
+    init: Callable  # (index, penalty) -> state
+    step: Callable  # (state, objective): advances the state in place
+    penalized: bool = True  # runs on a penalty with penalty-scaled duals
+
+
+# the steps look up their module-level names at call time, so a wrapper
+# installed on ``solvers.fdadmm_round`` (or the others) sees every round
+METHODS = {
+    "fd-admm": Method(initial_state, lambda state, obj: fdadmm_round(state, obj)),
+    "c-admm": Method(initial_cadmm_state, lambda state, obj: cadmm_step(state, state.index.instance, obj)),
+    "lagr": Method(initial_lagr_state, lambda state, obj: lagr_step(state, state.index, obj), penalized=False),
+}
+
+
 @dataclass
 class SolveResult:
     allocation: np.ndarray
@@ -417,6 +421,26 @@ def _initial_penalty(config: SolverConfig, objective: FairnessObjective) -> Pena
     return PenaltyState(value=float(config.penalty), tau=config.adapt_tau, frozen=True)
 
 
+def _clone(state):
+    """A copy of a solver state with fresh arrays and the same index."""
+    arrays = {f.name: getattr(state, f.name) for f in fields(state)}
+    return replace(state, **{name: a.copy() for name, a in arrays.items() if isinstance(a, np.ndarray)})
+
+
+def _install_penalty(state, penalty: PenaltyState) -> None:
+    """Give ``state`` a new penalty, keeping the multipliers its duals stand for.
+
+    The duals are the multipliers scaled by the penalty (the reciprocal of
+    the ADMM step ``rho`` in Boyd et al., 2011, section 3.4.1), so a change
+    of penalty rescales them by new/old.
+    """
+    if penalty.value != state.penalty.value:
+        ratio = penalty.value / state.penalty.value
+        for arr in state.dual_arrays:
+            arr *= ratio
+    state.penalty = penalty
+
+
 def solve(
     instance: Instance,
     partition: Partition | None = None,
@@ -430,11 +454,12 @@ def solve(
     """Run one algorithm to its stopping criterion, budget, or iteration cap.
 
     ``warm_state`` (a prior ``SolveResult.state``) continues from that
-    iterate; the penalty re-adapts from scratch because each call counts as a
-    fresh execution.  The returned allocation is the final iterate's feasible
-    extract when converged, otherwise the best feasible point seen — except
-    for ``lagr``, which reports its last iterate even when infeasible, as a
-    dual method would in operation.
+    iterate with its index; the adaptive rule re-picks the penalty from the
+    carried value, counting rounds from zero, because each call counts as a
+    fresh execution.  The returned allocation is the final iterate's
+    feasible extract when converged, otherwise the best feasible point seen
+    — except for ``lagr``, which reports its last iterate even when
+    infeasible, as a dual method would in operation.
     """
     if algorithm not in ALGORITHMS:
         raise SolverError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -444,45 +469,24 @@ def solve(
         raise SolverError("objective weight count does not match instance routes")
     if algorithm == "lagr" and objective.alpha == 0.0:
         raise SolverError("dual-gradient baseline needs alpha > 0")
+    method = METHODS[algorithm]
 
     start = time.perf_counter()
     reference_value = utility(objective, reference) if reference is not None else float("nan")
     penalty = _initial_penalty(config, objective)
-    adaptive = not penalty.frozen
-
-    def _handoff_penalty(state, dual_arrays) -> None:
-        # duals are penalty-scaled multipliers: keep the multipliers intact
-        # when the configured penalty differs from the one the state ran with
-        carried = state.penalty.value
-        target = carried if config.penalty == "adaptive" else float(config.penalty)
-        if target != carried:
-            for arr in dual_arrays(state):
-                arr *= target / carried
-        state.penalty = PenaltyState(value=target, tau=config.adapt_tau, frozen=not adaptive)
-
-    if algorithm == "fd-admm":
-        if warm_state is not None:
-            state = warm_state.clone()
-            index = state.index
-        else:
-            index = ConsensusIndex(instance, partition or single_domain(instance))
-            state = initial_state(index, penalty)
-        _handoff_penalty(state, lambda s: (s.link_duals, s.route_duals))
-        message_floats = index.floats_per_round
-    elif algorithm == "c-admm":
-        state = warm_state.clone() if warm_state is not None else initial_cadmm_state(instance, penalty)
-        _handoff_penalty(state, lambda s: (s.dual,))
-        index = None
-        message_floats = 0
+    if warm_state is not None:
+        state = _clone(warm_state)
     else:
-        state = warm_state.clone() if warm_state is not None else initial_lagr_state(instance)
-        index = ConsensusIndex(instance, partition or single_domain(instance))
-        message_floats = 0
-
-    bottlenecks = None
-    if adaptive and algorithm in ("fd-admm", "c-admm"):
-        bn_index = index if index is not None else ConsensusIndex(instance, single_domain(instance))
-        bottlenecks = bn_index.bottlenecks
+        state = method.init(ConsensusIndex(instance, partition or single_domain(instance)), penalty)
+    index = state.index
+    adaptive = method.penalized and not penalty.frozen
+    if method.penalized:
+        # a fixed penalty replaces the one the state carries; the adaptive
+        # rule starts from the carried value
+        value = state.penalty.value if adaptive else penalty.value
+        _install_penalty(state, replace(penalty, value=value))
+    message_floats = index.floats_per_round if algorithm == "fd-admm" else 0
+    caps = instance.capacities
 
     trace: list[TraceRow] = []
     allocations: list[np.ndarray] | None = [] if config.record_allocations else None
@@ -491,31 +495,19 @@ def solve(
     converged = False
 
     for k in range(config.max_iters):
-        if adaptive and algorithm in ("fd-admm", "c-admm"):
-            new_pen = adapt_penalty(state.penalty, k, state.extract, objective, bottlenecks)
-            if new_pen.value != state.penalty.value:
-                ratio = new_pen.value / state.penalty.value
-                # duals are penalty-scaled multipliers; keep the multipliers
-                if algorithm == "fd-admm":
-                    state.link_duals *= ratio
-                    state.route_duals *= ratio
-                else:
-                    state.dual *= ratio
-            state.penalty = new_pen
-
-        if algorithm == "fd-admm":
-            fdadmm_round(state, objective)
-            allocation_k = state.extract
-        elif algorithm == "c-admm":
-            cadmm_step(state, instance, objective, dykstra_tol=config.dykstra_tol)
-            allocation_k = state.extract
-        else:
-            lagr_step(state, index, objective)
-            allocation_k = state.x
+        if adaptive:
+            _install_penalty(
+                state, adapt_penalty(state.penalty, k, state.allocation, objective, index.bottlenecks)
+            )
+        method.step(state, objective)
+        allocation_k = state.allocation
 
         if allocations is not None:
             allocations.append(allocation_k.copy())
-        if is_feasible(instance, allocation_k):
+        # one load pass per round: the feasibility test of ``is_feasible``
+        # and the trace's overload share both read it
+        loads = link_loads(instance, allocation_k)
+        if not np.any(allocation_k < 0.0) and np.all(loads <= caps):
             util_k = utility(objective, allocation_k)
             if util_k > best_util:
                 best_util = util_k
@@ -533,7 +525,7 @@ def solve(
                     gap=relative_gap(util_k, reference_value),
                     primal_residual=state.residuals.primal,
                     dual_residual=state.residuals.dual,
-                    violated_pct=violated_percentage(instance, allocation_k),
+                    violated_pct=overloaded_percentage(loads, caps),
                     message_floats=message_floats,
                     wall_time=time.perf_counter() - start,
                 )
@@ -545,10 +537,8 @@ def solve(
         if config.time_budget is not None and time.perf_counter() - start >= config.time_budget:
             break
 
-    if algorithm == "lagr":
-        allocation = state.x.copy()
-    elif converged or best_alloc is None:
-        allocation = state.extract.copy()
+    if converged or best_alloc is None or algorithm == "lagr":
+        allocation = state.allocation.copy()
     else:
         allocation = best_alloc.copy()
 

@@ -101,8 +101,13 @@ def relative_gap(value: float, reference: float) -> float:
 
 def violated_percentage(instance: Instance, allocation: np.ndarray, rel_eps: float = 1e-9) -> float:
     """Percent of links whose load exceeds capacity by more than ``rel_eps`` relative."""
-    if instance.n_links == 0:
-        return 0.0
     loads = link_loads(instance, np.asarray(allocation, dtype=np.float64))
-    violated = loads > instance.capacities * (1.0 + rel_eps)
-    return 100.0 * int(np.count_nonzero(violated)) / instance.n_links
+    return overloaded_percentage(loads, instance.capacities, rel_eps)
+
+
+def overloaded_percentage(loads: np.ndarray, capacities: np.ndarray, rel_eps: float = 1e-9) -> float:
+    """:func:`violated_percentage` from link loads already computed."""
+    if loads.size == 0:
+        return 0.0
+    violated = loads > capacities * (1.0 + rel_eps)
+    return 100.0 * int(np.count_nonzero(violated)) / loads.size

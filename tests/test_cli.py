@@ -125,6 +125,16 @@ def test_dynamic_rejects_bad_amplitude(tmp_path, instance_file):
     assert exc.value.code == 2
 
 
+def test_dynamic_rejects_solver_budget_flags(tmp_path, instance_file):
+    # every event runs exactly --iters-per-event rounds, so the scenario
+    # has no tolerances or round cap to set
+    for flag, value in (("--max-iters", 5), ("--tol-primal", 1e-3), ("--tol-dual", 1e-3)):
+        with pytest.raises(SystemExit) as exc:
+            run("dynamic", "--algorithm", "fd-admm", "--instance", instance_file,
+                "--amplitude", 0.5, flag, value, "--out", tmp_path / "d.csv")
+        assert exc.value.code == 2, flag
+
+
 def test_sweep_lambda_grid(tmp_path, instance_file):
     out = tmp_path / "sweep.csv"
     code = run("sweep-lambda", "--instance", instance_file, "--grid", "0.1,1,10",

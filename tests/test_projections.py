@@ -8,11 +8,8 @@ from fairalloc.numerics import canonical_sum
 from fairalloc.projections import (
     BatchedLinkProjector,
     DykstraError,
-    LinkSet,
     ProjectionError,
-    feasible_extract,
     project_capped_simplex,
-    project_link,
     project_polyhedron,
 )
 
@@ -78,11 +75,6 @@ def test_rounding_repair_kicks_in():
         assert canonical_sum(x) <= cap
 
 
-def test_project_link_wrapper(tiny_instance):
-    ls = LinkSet(link=0, routes=(0, 1), capacity=2.0)
-    np.testing.assert_array_equal(project_link(ls, np.array([3.0, 1.0])), [2.0, 0.0])
-
-
 def test_batched_matches_single_bitwise():
     rng = np.random.default_rng(7)
     cases = []
@@ -126,13 +118,6 @@ def test_batched_matches_single_bitwise():
                 continue
             single = project_capped_simplex(flat[s:e], capacities[j])
             assert np.array_equal(out[s:e], single), f"link {j} diverged"
-
-
-def test_feasible_extract_is_min_over_links(tiny_instance):
-    vals = {0: np.array([1.5, 0.5]), 1: np.array([0.75])}
-    np.testing.assert_array_equal(feasible_extract(tiny_instance, vals), [1.5, 0.5])
-    with pytest.raises(ProjectionError):
-        feasible_extract(tiny_instance, {0: np.array([1.0]), 1: np.array([1.0])})
 
 
 def test_dykstra_single_link_equals_direct_projection():

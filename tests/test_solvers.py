@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from fairalloc.solvers import (
     SolverConfig,
     SolverError,
     cadmm_step,
+    equal_split_extract,
     fdadmm_round,
     initial_cadmm_state,
     initial_lagr_state,
@@ -138,12 +141,28 @@ def test_partition_choice_does_not_change_limit(small_instance):
         np.testing.assert_allclose(got, base, atol=1e-6)
 
 
+def test_equal_split_extract_is_exactly_feasible():
+    """C/n summed n times can round above C; the served start must not."""
+    instances = [generate_random(seed=s, n_nodes=100, n_links=300, n_routes=200) for s in range(40)]
+    # the instance of acceptance criterion 9
+    instances.append(
+        generate_random(seed=0, n_nodes=100, n_links=300, n_routes=200, capacity_range=(5.0, 50.0), alpha=1.0)
+    )
+    for k, inst in enumerate(instances):
+        split = equal_split_extract(inst)
+        assert is_feasible(inst, split), k
+        members = np.bincount(inst.incidence.copy_link, minlength=inst.n_links)
+        raw = [min(inst.capacities[j] / members[j] for j in route.links) for route in inst.routes]
+        np.testing.assert_allclose(split, raw, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # c-admm specifics
 
 def test_cadmm_extract_always_feasible(small_instance):
     obj = default_objective(small_instance)
-    state = initial_cadmm_state(small_instance, PenaltyState(value=1.0, frozen=True))
+    idx = ConsensusIndex(small_instance, single_domain(small_instance))
+    state = initial_cadmm_state(idx, PenaltyState(value=1.0, frozen=True))
     for _ in range(60):
         cadmm_step(state, small_instance, obj)
         assert is_feasible(small_instance, state.extract)
@@ -155,7 +174,7 @@ def test_cadmm_extract_always_feasible(small_instance):
 def test_lagr_multipliers_stay_positive(small_instance):
     idx = ConsensusIndex(small_instance, single_domain(small_instance))
     obj = default_objective(small_instance)
-    state = initial_lagr_state(small_instance)
+    state = initial_lagr_state(idx, PenaltyState(value=1.0, frozen=True))
     for _ in range(500):
         lagr_step(state, idx, obj)
         assert np.all(state.multipliers > 0)
@@ -176,29 +195,64 @@ def test_lagr_reports_last_iterate_even_infeasible():
 # ---------------------------------------------------------------------------
 # driver behavior
 
+def _state_arrays(state) -> dict[str, np.ndarray]:
+    return {
+        f.name: getattr(state, f.name)
+        for f in dataclasses.fields(state)
+        if isinstance(getattr(state, f.name), np.ndarray)
+    }
+
+
 def test_warm_start_with_fixed_penalty_is_exact_continuation(small_instance):
     cfg = lambda iters: SolverConfig(penalty=0.9, tol_primal=0.0, tol_dual=0.0, max_iters=iters)
     part = build_partition(small_instance, balanced_assignment(small_instance, 2))
-    full = solve(small_instance, partition=part, config=cfg(60))
-    first = solve(small_instance, partition=part, config=cfg(30))
-    second = solve(small_instance, partition=part, config=cfg(30), warm_state=first.state)
-    assert second.state.iteration == 60
-    np.testing.assert_array_equal(second.state.link_values, full.state.link_values)
-    np.testing.assert_array_equal(second.state.extract, full.state.extract)
+    for algorithm in ALGORITHMS:
+        full = solve(small_instance, partition=part, algorithm=algorithm, config=cfg(60))
+        first = solve(small_instance, partition=part, algorithm=algorithm, config=cfg(30))
+        second = solve(
+            small_instance, partition=part, algorithm=algorithm, config=cfg(30), warm_state=first.state
+        )
+        assert second.state.iteration == 60, algorithm
+        assert second.state.index is first.state.index, algorithm
+        continued, direct = _state_arrays(second.state), _state_arrays(full.state)
+        assert continued.keys() == direct.keys()
+        for name in direct:
+            np.testing.assert_array_equal(continued[name], direct[name], err_msg=f"{algorithm} {name}")
 
 
 def test_warm_start_rescales_duals_on_penalty_change(small_instance):
-    first = solve(small_instance, config=SolverConfig(penalty=1.0, tol_primal=0.0, tol_dual=0.0, max_iters=20))
-    duals_before = first.state.route_duals.copy()
-    second = solve(
-        small_instance,
-        config=SolverConfig(penalty=2.0, tol_primal=0.0, tol_dual=0.0, max_iters=1),
-        warm_state=first.state,
-    )
-    # the handoff multiplies carried duals by new/old before stepping; probe it
-    # indirectly: first's state must be untouched (clone semantics)
-    np.testing.assert_array_equal(first.state.route_duals, duals_before)
-    assert second.state.iteration == 21
+    obj = default_objective(small_instance)
+    steps = {
+        "fd-admm": (("link_duals", "route_duals"), lambda state: fdadmm_round(state, obj)),
+        "c-admm": (("dual",), lambda state: cadmm_step(state, small_instance, obj)),
+    }
+    for algorithm, (dual_names, step) in steps.items():
+        first = solve(
+            small_instance,
+            algorithm=algorithm,
+            config=SolverConfig(penalty=1.0, tol_primal=0.0, tol_dual=0.0, max_iters=20),
+        )
+        carried = {name: arr.copy() for name, arr in _state_arrays(first.state).items()}
+        second = solve(
+            small_instance,
+            algorithm=algorithm,
+            config=SolverConfig(penalty=2.0, tol_primal=0.0, tol_dual=0.0, max_iters=1),
+            warm_state=first.state,
+        )
+        # the warm state itself is untouched
+        for name, arr in _state_arrays(first.state).items():
+            np.testing.assert_array_equal(arr, carried[name], err_msg=f"{algorithm} {name}")
+        # by hand: a copy with its duals times new/old = 2.0, then one step
+        by_hand = dataclasses.replace(first.state, **{n: a.copy() for n, a in carried.items()})
+        for name in dual_names:
+            getattr(by_hand, name)[...] *= 2.0
+        by_hand.penalty = PenaltyState(value=2.0, tau=30, frozen=True)
+        step(by_hand)
+        assert second.state.iteration == by_hand.iteration == 21
+        assert second.state.residuals == by_hand.residuals
+        assert second.state.penalty == by_hand.penalty
+        for name, arr in _state_arrays(by_hand).items():
+            np.testing.assert_array_equal(getattr(second.state, name), arr, err_msg=f"{algorithm} {name}")
 
 
 def test_solve_validates():
