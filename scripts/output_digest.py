@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One SHA-256 digest over the solver outputs that must stay bit-identical.
+"""SHA-256 digests over the solver outputs that must stay bit-identical.
 
 Runs a fixed grid on small seeded instances: fd-admm, c-admm and lagr with
 the adaptive and a fixed penalty, each cold and then warm-started (once at
@@ -7,8 +7,13 @@ the same penalty, once at a different one, so the duals are rescaled);
 a converged fd-admm solve; ``reference_solution`` cold and warm; and
 ``run_dynamic`` for all three algorithms.  It hashes every allocation,
 best feasible point, solver-state array, iteration count and trace CSV
-(the bytes ``write_trace`` writes), and prints the digest.  Two versions of
-the package that print the same digest produce the same bits on this grid.
+(the bytes ``write_trace`` writes).  It prints one digest per algorithm
+group, then one over everything.  The fd-admm group holds fd-admm's own
+solves and every reference (``reference_solution`` and the per-event
+references of ``run_dynamic``, which fd-admm solves); the c-admm and lagr
+groups hold those algorithms' solves and ``run_dynamic`` traces.  Two
+versions of the package that print the same digest for a group produce the
+same bits on that group's part of the grid.
 
 The served mean gaps of ``run_dynamic`` are left out: they score the
 equal-split start, which is scaled to exact feasibility, not a solver output.
@@ -42,23 +47,23 @@ def _array(x) -> bytes:
     return np.ascontiguousarray(x, dtype=np.float64).tobytes()
 
 
-def _result_entries(name: str, result, workdir: Path):
-    yield f"{name}.allocation", _array(result.allocation)
+def _result_entries(group: str, name: str, result, workdir: Path):
+    yield group, f"{name}.allocation", _array(result.allocation)
     if result.best_feasible is not None:
-        yield f"{name}.best_feasible", _array(result.best_feasible)
-    yield f"{name}.iterations", f"{result.iterations} {result.converged} {result.residuals!r}".encode()
-    yield f"{name}.trace", _trace_bytes(result.trace, workdir)
+        yield group, f"{name}.best_feasible", _array(result.best_feasible)
+    yield group, f"{name}.iterations", f"{result.iterations} {result.converged} {result.residuals!r}".encode()
+    yield group, f"{name}.trace", _trace_bytes(result.trace, workdir)
     state = result.state
     for f in dataclasses.fields(state):
         value = getattr(state, f.name)
         if isinstance(value, np.ndarray):
-            yield f"{name}.state.{f.name}", _array(value)
+            yield group, f"{name}.state.{f.name}", _array(value)
     if hasattr(state, "penalty"):
-        yield f"{name}.state.penalty", repr(state.penalty).encode()
+        yield group, f"{name}.state.penalty", repr(state.penalty).encode()
 
 
 def entries(workdir: Path):
-    """``(name, bytes)`` for every hashed output, in a fixed order."""
+    """``(group, name, bytes)`` for every hashed output, in a fixed order."""
     instances = [
         generate_random(seed=3, n_nodes=12, n_links=20, n_routes=30, alpha=1.0),
         generate_random(seed=4, n_nodes=10, n_links=16, n_routes=24, alpha=2.0),
@@ -70,32 +75,37 @@ def entries(workdir: Path):
                 cfg = SolverConfig(penalty=penalty, tol_primal=0.0, tol_dual=0.0, max_iters=25)
                 name = f"i{i}.{algorithm}.{penalty}"
                 cold = solve(inst, part, algorithm, config=cfg)
-                yield from _result_entries(f"{name}.cold", cold, workdir)
+                yield from _result_entries(algorithm, f"{name}.cold", cold, workdir)
                 warm = solve(inst, part, algorithm, config=cfg, warm_state=cold.state, event_index=1)
-                yield from _result_entries(f"{name}.warm", warm, workdir)
+                yield from _result_entries(algorithm, f"{name}.warm", warm, workdir)
                 moved = dataclasses.replace(cfg, penalty=1.3)
                 rescaled = solve(inst, part, algorithm, config=moved, warm_state=cold.state, event_index=2)
-                yield from _result_entries(f"{name}.rescaled", rescaled, workdir)
+                yield from _result_entries(algorithm, f"{name}.rescaled", rescaled, workdir)
         converged = solve(inst, part, "fd-admm", config=SolverConfig(tol_primal=1e-6, tol_dual=1e-6))
-        yield from _result_entries(f"i{i}.converged", converged, workdir)
+        yield from _result_entries("fd-admm", f"i{i}.converged", converged, workdir)
         ref = reference_solution(inst, return_result=True)
-        yield from _result_entries(f"i{i}.reference", ref, workdir)
+        yield from _result_entries("fd-admm", f"i{i}.reference", ref, workdir)
         again = reference_solution(inst, tol=1e-7, warm_state=ref.state, return_result=True)
-        yield from _result_entries(f"i{i}.reference.warm", again, workdir)
+        yield from _result_entries("fd-admm", f"i{i}.reference.warm", again, workdir)
         scenario = Scenario(amplitude=0.5, n_events=3, iters_per_event=5, seed=i)
         for algorithm in ALGORITHMS:
             dyn = run_dynamic(inst, part, algorithm, scenario)
-            yield f"i{i}.dynamic.{algorithm}.trace", _trace_bytes(dyn.trace, workdir)
+            yield algorithm, f"i{i}.dynamic.{algorithm}.trace", _trace_bytes(dyn.trace, workdir)
             for t, ref_alloc in enumerate(dyn.references):
-                yield f"i{i}.dynamic.{algorithm}.reference{t}", _array(ref_alloc)
+                yield "fd-admm", f"i{i}.dynamic.{algorithm}.reference{t}", _array(ref_alloc)
 
 
 def main() -> int:
-    digest = hashlib.sha256()
+    groups = {algorithm: hashlib.sha256() for algorithm in ALGORITHMS}
+    total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data in entries(Path(tmp)):
-            digest.update(name.encode() + b"\0" + hashlib.sha256(data).digest())
-    print(digest.hexdigest())
+        for group, name, data in entries(Path(tmp)):
+            record = name.encode() + b"\0" + hashlib.sha256(data).digest()
+            groups[group].update(record)
+            total.update(record)
+    for algorithm, digest in groups.items():
+        print(f"{algorithm} {digest.hexdigest()}")
+    print(f"total {total.hexdigest()}")
     return 0
 
 

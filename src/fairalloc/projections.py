@@ -4,8 +4,19 @@ The workhorse is projection onto one link's capped simplex
 ``{x >= 0, sum(x) <= C}`` via the sort-and-threshold rule.  A batched variant
 applies it to many links at once with arithmetic bit-identical to the 1-D
 routine, which is what lets a vectorized solver and a per-node simulation of
-the same algorithm agree to the last bit.  Projection onto the intersection
-of all link sets uses Dykstra's alternating method with correction terms.
+the same algorithm agree to the last bit.
+
+Projection onto the intersection of all link sets uses Dykstra's method with
+one correction term per set.  Each cycle visits the links by colour class of
+the link-conflict graph, then the nonnegative orthant: the links of a class
+share no route, so one batched call projects the whole class.  Dykstra's
+method converges to the projection for any fixed cyclic order (Boyle &
+Dykstra, "A method for finding projections onto the intersection of convex
+sets in Hilbert spaces", 1986).  It stops once a cycle moves neither the
+iterate nor any correction term by more than a tenth of the tolerance; the
+iterate alone can stall far from the projection while the corrections still
+move (Birgin & Raydan, "Robust stopping criteria for Dykstra's algorithm",
+SIAM J. Sci. Comput. 2005).
 
 Every projected point is exactly feasible in floating point: after the
 threshold step a repair pass removes any last-ulp excess, measured with the
@@ -95,7 +106,8 @@ class BatchedLinkProjector:
     def apply(self, flat_values: np.ndarray, out: np.ndarray) -> None:
         x = np.maximum(flat_values, 0.0)  # not in ``out``: it may alias ``flat_values``
         if self._starts.size:
-            over = segment_sums(x, self._starts) > self._caps
+            # a NaN sum fails ``<=``: its link is projected and, as in 1-D, the repair raises
+            over = ~(segment_sums(x, self._starts) <= self._caps)
             if over.any():
                 positions, values = self._project_over(flat_values, over)
                 x[positions] = values
@@ -146,7 +158,38 @@ def _enforce_caps(
         padded[real] = x
         at = row_starts[still] + np.argmax(padded[still], axis=1)
         x[at] = np.maximum(x[at] - (totals[still] - caps[still]), 0.0)
-    raise ProjectionError("could not repair rounding excess")  # pragma: no cover
+    raise ProjectionError("could not repair rounding excess")
+
+
+def link_colour_classes(instance: Instance) -> list[np.ndarray]:
+    """Greedy colouring of the link-conflict graph, one ascending link array per colour.
+
+    Two links conflict when a route traverses both.  Links are coloured in id
+    order, each with the lowest colour that no conflicting link holds yet, so
+    no two links of one class share a route.  Links that carry no route are
+    left out.
+    """
+    inc = instance.incidence
+    taken = [0] * instance.n_routes  # bit c set: a link of colour c carries the route
+    classes: list[list[int]] = []
+    for j in range(instance.n_links):
+        members = inc.members(j).tolist()
+        if not members:
+            continue
+        used = 0
+        for r in members:
+            used |= taken[r]
+        colour = (~used & (used + 1)).bit_length() - 1  # lowest clear bit
+        if colour == len(classes):
+            classes.append([])
+        classes[colour].append(j)
+        for r in members:
+            taken[r] |= 1 << colour
+    return [np.array(links, dtype=np.intp) for links in classes]
+
+
+def _sup(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def project_polyhedron(
@@ -157,38 +200,63 @@ def project_polyhedron(
 ) -> np.ndarray:
     """Dykstra's alternating projection onto ``{x >= 0, loads <= capacities}``.
 
-    Cycles through every link's capped simplex and the nonnegative orthant,
-    each visit offset by that set's running correction term.  Stops once the
-    iterate moves less than ``tolerance/10`` (sup norm) over a full cycle —
-    a practical Cauchy certificate that the limit is within ``tolerance``.
-    Raises :class:`DykstraError` with the last iterate once ``max_cycles``
-    is exhausted.
+    Each cycle visits the colour classes of :func:`link_colour_classes` in
+    order, one :class:`BatchedLinkProjector` call per class, then the
+    nonnegative orthant; every set is visited offset by its own correction
+    term.  The result is bit-identical to visiting the links one at a time
+    in class order with :func:`project_capped_simplex`, and any fixed cyclic
+    order converges to the projection (Boyle & Dykstra, 1986).
+
+    Stops after the first cycle in which the iterate and every correction
+    term, link and orthant, moved at most ``tolerance/10`` (sup norm): the
+    iterate alone can stand still for a cycle far from the projection while
+    the corrections still move (Birgin & Raydan, 2005).  Raises
+    :class:`ProjectionError` for a point that is not finite, and
+    :class:`DykstraError` with the last iterate and the last cycle's largest
+    move once ``max_cycles`` is exhausted.
     """
     inc = instance.incidence
     y = np.asarray(point, dtype=np.float64)
     if y.shape != (instance.n_routes,):
         raise ProjectionError(f"point has shape {y.shape}, expected ({instance.n_routes},)")
-    x = y.copy()
-    corrections = [np.zeros(inc.members(j).size) for j in range(instance.n_links)]
-    orthant_correction = np.zeros_like(x)
+    if not np.all(np.isfinite(y)):
+        raise ProjectionError("point must be finite")
+    # every class gets its own stretch of one flat copy layout; within a class
+    # the routes are distinct, so gathering and scattering them is collision-free
     caps = instance.capacities
+    classes = []
+    offset = 0
+    for links in link_colour_classes(instance):
+        lo, hi = inc.link_starts[links], inc.link_starts[links + 1]
+        routes = np.concatenate([inc.copy_route[a:b] for a, b in zip(lo, hi)])
+        starts = np.concatenate(([0], np.cumsum(hi - lo)))
+        stretch = slice(offset, offset + routes.size)
+        classes.append((BatchedLinkProjector(starts, caps[links]), stretch, routes))
+        offset += routes.size
+    x = y.copy()
+    corrections = np.zeros(offset)
+    orthant_correction = np.zeros_like(x)
     stop = tolerance / 10.0
     residual = np.inf
     for _ in range(max_cycles):
         previous = x.copy()
-        for j in range(instance.n_links):
-            members = inc.members(j)
-            if members.size == 0:
-                continue
-            w = x[members] + corrections[j]
-            z = project_capped_simplex(w, caps[j])
-            corrections[j] = w - z
-            x[members] = z
+        previous_corrections = corrections.copy()
+        for projector, stretch, routes in classes:
+            w = x[routes] + corrections[stretch]
+            z = np.empty_like(w)
+            projector.apply(w, out=z)
+            corrections[stretch] = w - z
+            x[routes] = z
         w = x + orthant_correction
         z = np.maximum(w, 0.0)
-        orthant_correction = w - z
+        new_orthant_correction = w - z
+        residual = max(
+            _sup(z - previous),
+            _sup(corrections - previous_corrections),
+            _sup(new_orthant_correction - orthant_correction),
+        )
+        orthant_correction = new_orthant_correction
         x = z
-        residual = float(np.max(np.abs(x - previous))) if x.size else 0.0
         if residual <= stop:
             return x
     raise DykstraError(

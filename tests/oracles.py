@@ -176,3 +176,35 @@ def grid_maximizer(instance, alpha: float, weights: np.ndarray, step: float = 1e
         best = scan(best, np.full(n, 2.5 * s), s_next)
         s = s_next
     return best
+
+
+def sequential_dykstra(instance, point, order, project, tolerance=None, cycles=3000):
+    """Dykstra's method visiting one link at a time in ``order``, then the orthant.
+
+    ``project(values, cap)`` projects onto one link's capped simplex; every
+    set is visited offset by its own correction term.  With a ``tolerance``
+    the loop stops after the first cycle in which the iterate and every
+    correction term moved at most ``tolerance/10`` (sup norm); without one
+    it runs exactly ``cycles`` cycles.  Returns the point and the cycles run.
+    """
+    members = {j: np.array([r.id for r in instance.routes if j in r.links], dtype=np.intp) for j in order}
+    x = np.array(point, dtype=np.float64)
+    corrections = {j: np.zeros(members[j].size) for j in order}
+    orthant = np.zeros_like(x)
+    for cycle in range(1, cycles + 1):
+        previous = x.copy()
+        moved = 0.0
+        for j in order:
+            w = x[members[j]] + corrections[j]
+            z = project(w, instance.links[j].capacity)
+            moved = max(moved, float(np.max(np.abs((w - z) - corrections[j]))))
+            corrections[j] = w - z
+            x[members[j]] = z
+        w = x + orthant
+        z = np.maximum(w, 0.0)
+        moved = max(moved, float(np.max(np.abs((w - z) - orthant))), float(np.max(np.abs(z - previous))))
+        orthant = w - z
+        x = z
+        if tolerance is not None and moved <= tolerance / 10.0:
+            break
+    return x, cycle

@@ -3,17 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fairalloc.model import generate_random
+from fairalloc import solvers
+from fairalloc.model import Instance, Link, Route, generate_random
 from fairalloc.numerics import canonical_sum
 from fairalloc.projections import (
     BatchedLinkProjector,
     DykstraError,
     ProjectionError,
+    link_colour_classes,
     project_capped_simplex,
     project_polyhedron,
 )
 
-from oracles import project_oracle
+from oracles import project_oracle, sequential_dykstra
 
 finite_vec = hnp.arrays(
     np.float64,
@@ -95,8 +97,6 @@ def test_batched_matches_single_bitwise():
         np.concatenate([ulp, [3.0, 1.0], ulp, [4.0], ulp, ulp, ulp, ulp]),
     ))
     # an instance whose link 1 no route traverses
-    from fairalloc.model import Instance, Link, Route
-
     inst = Instance(
         links=(Link(0, 2.0), Link(1, 1.0), Link(2, 1.5)),
         routes=(Route(0, (0, 2)), Route(1, (0,)), Route(2, (2,))),
@@ -118,6 +118,13 @@ def test_batched_matches_single_bitwise():
                 continue
             single = project_capped_simplex(flat[s:e], capacities[j])
             assert np.array_equal(out[s:e], single), f"link {j} diverged"
+    # a non-finite copy: both projectors raise instead of passing it through
+    for bad in (np.nan, np.inf):
+        flat = np.array([bad, 5.0])
+        with np.errstate(invalid="ignore"), pytest.raises(ProjectionError):
+            BatchedLinkProjector(np.array([0, 2]), np.array([1.0])).apply(flat, out=np.empty(2))
+        with np.errstate(invalid="ignore"), pytest.raises(ProjectionError):
+            project_capped_simplex(flat, 1.0)
 
 
 def test_dykstra_single_link_equals_direct_projection():
@@ -144,8 +151,6 @@ def test_dykstra_single_link_equals_direct_projection():
 
 def test_dykstra_exactness_on_one_link():
     # one link, two routes: polyhedron == capped simplex, answer in closed form
-    from fairalloc.model import Instance, Link, Route
-
     inst = Instance(links=(Link(0, 2.0),), routes=(Route(0, (0,)), Route(1, (0,))))
     y = np.array([3.0, 1.0])
     x = project_polyhedron(inst, y, tolerance=1e-10)
@@ -153,10 +158,73 @@ def test_dykstra_exactness_on_one_link():
 
 
 def test_dykstra_error_carries_last_point():
-    from fairalloc.model import Instance, Link, Route
-
     inst = Instance(links=(Link(0, 1.0), Link(1, 1.0)), routes=(Route(0, (0, 1)), Route(1, (0,)), Route(2, (1,))))
     with pytest.raises(DykstraError) as exc:
         project_polyhedron(inst, np.array([5.0, 5.0, 5.0]), tolerance=1e-12, max_cycles=2)
     assert exc.value.last_point.shape == (3,)
     assert np.isfinite(exc.value.residual)
+
+
+def test_dykstra_rejects_non_finite_point():
+    inst = Instance(links=(Link(0, 1.0), Link(1, 1.0)), routes=(Route(0, (0, 1)), Route(1, (0,)), Route(2, (1,))))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ProjectionError, match="finite"):
+            project_polyhedron(inst, np.array([1.0, bad, 0.5]))
+
+
+def _colour_cases():
+    # 30 links for 6 routes leave links untraversed and links with one route
+    cases = [generate_random(seed=s, n_nodes=12, n_links=30, n_routes=6, alpha=1.0) for s in range(10)]
+    cases += [generate_random(seed=s, n_nodes=10, n_links=16, n_routes=20, alpha=1.0) for s in range(10)]
+    cases.append(
+        Instance(
+            links=(Link(0, 2.0), Link(1, 1.0), Link(2, 1.5), Link(3, 1.0)),
+            routes=(Route(0, (0, 2)), Route(1, (0,)), Route(2, (3,))),
+        )
+    )
+    return cases
+
+
+def test_link_colour_classes_partition_route_disjoint():
+    for inst in _colour_cases():
+        classes = link_colour_classes(inst)
+        carrying = {j for r in inst.routes for j in r.links}
+        coloured = [int(j) for links in classes for j in links]
+        assert sorted(coloured) == sorted(carrying)  # each carrying link exactly once
+        for links in classes:
+            assert links.size > 0 and np.all(np.diff(links) > 0)
+            routes = [r.id for r in inst.routes for j in links if j in r.links]
+            assert len(routes) == len(set(routes)), "two links of one class share a route"
+
+
+def test_dykstra_matches_sequential_oracle_bitwise():
+    rng = np.random.default_rng(11)
+    for s, inst in enumerate(_colour_cases()):
+        order = [int(j) for links in link_colour_classes(inst) for j in links]
+        y = rng.uniform(-2.0, 8.0, size=inst.n_routes)
+        tol = (1e-9, 1e-10)[s % 2]
+        got = project_polyhedron(inst, y, tolerance=tol)
+        want, _ = sequential_dykstra(inst, y, order, project_capped_simplex, tolerance=tol, cycles=100_000)
+        assert np.array_equal(got, want), f"case {s} diverged"
+
+
+def test_dykstra_accurate_on_cadmm_points(monkeypatch):
+    # c-admm's first projections on this instance: the iterate stands still
+    # for a cycle long before the corrections do
+    inst = generate_random(seed=206, n_nodes=8, n_links=14, n_routes=7, alpha=0.5)
+    points = []
+    project = solvers.project_polyhedron
+
+    def record(instance, point, **kwargs):
+        points.append(np.array(point))
+        return project(instance, point, **kwargs)
+
+    monkeypatch.setattr(solvers, "project_polyhedron", record)
+    config = solvers.SolverConfig(tol_primal=0.0, tol_dual=0.0, max_iters=4, record_trace=False)
+    solvers.solve(inst, None, "c-admm", config=config)
+    monkeypatch.undo()
+    links = sorted({j for r in inst.routes for j in r.links})
+    for i, y in enumerate(points):
+        reference, _ = sequential_dykstra(inst, y, links, project_capped_simplex, cycles=3000)
+        got = project_polyhedron(inst, y, tolerance=solvers.DYKSTRA_TOL)
+        assert np.max(np.abs(got - reference)) <= 1e-9, f"point {i}"

@@ -168,6 +168,15 @@ def test_cadmm_extract_always_feasible(small_instance):
         assert is_feasible(small_instance, state.extract)
 
 
+def test_cadmm_converges_where_dykstra_iterate_stalls():
+    # a Dykstra stop rule that watched only the iterate returned points up to
+    # 1.24 from the projection here, and c-admm never converged
+    inst = generate_random(seed=206, n_nodes=8, n_links=14, n_routes=7, alpha=0.5)
+    config = SolverConfig(tol_primal=1e-8, tol_dual=1e-8, max_iters=2000, record_trace=False)
+    result = solve(inst, None, "c-admm", config=config)
+    assert result.converged
+
+
 # ---------------------------------------------------------------------------
 # dual-gradient baseline specifics
 
