@@ -11,9 +11,16 @@ best feasible point, solver-state array, iteration count and trace CSV
 group, then one over everything.  The fd-admm group holds fd-admm's own
 solves and every reference (``reference_solution`` and the per-event
 references of ``run_dynamic``, which fd-admm solves); the c-admm and lagr
-groups hold those algorithms' solves and ``run_dynamic`` traces.  Two
-versions of the package that print the same digest for a group produce the
-same bits on that group's part of the grid.
+groups hold those algorithms' solves and ``run_dynamic`` traces.  The
+``simulator`` group runs the message-passing simulator for 20 rounds on two
+instances, one with a weight update injected after round 10 and one whose
+partition gives every untraversed link to a domain that holds no route; it
+hashes the exported message-log CSV, the meter's per-pair and per-round
+counts, and the gathered link copies, enforced allocation and route
+replicas.  Two versions of the package that print the same digest for a
+group produce the same bits on that group's part of the grid.  The total
+covers the three solver groups only, so it compares with digests printed
+before the simulator group existed.
 
 The served mean gaps of ``run_dynamic`` are left out: they score the
 equal-split start, which is scaled to exact feasibility, not a solver output.
@@ -32,7 +39,18 @@ from pathlib import Path
 import numpy as np
 
 from fairalloc.experiments import Scenario, run_dynamic
+from fairalloc.fairness import default_objective
 from fairalloc.model import balanced_assignment, build_partition, generate_random
+from fairalloc.simulator import (
+    OverheadMeter,
+    build_controllers,
+    export_message_log,
+    gather_allocation,
+    gather_link_values,
+    gather_route_replicas,
+    inject_weight_update,
+    run_round,
+)
 from fairalloc.solvers import ALGORITHMS, SolverConfig, reference_solution, solve
 from fairalloc.trace import write_trace
 
@@ -95,16 +113,58 @@ def entries(workdir: Path):
                 yield "fd-admm", f"i{i}.dynamic.{algorithm}.reference{t}", _array(ref_alloc)
 
 
+def _routeless_partition(instance, n_domains: int):
+    """``balanced_assignment`` with every untraversed link moved to one more domain."""
+    carrying = {j for route in instance.routes for j in route.links}
+    assignment = balanced_assignment(instance, n_domains)
+    for j in range(instance.n_links):
+        if j not in carrying:
+            assignment[j] = n_domains + 1
+    return build_partition(instance, assignment)
+
+
+def simulator_entries(workdir: Path):
+    """``(name, bytes)`` for 20 simulated rounds on each simulator case."""
+    first = generate_random(seed=3, n_nodes=12, n_links=20, n_routes=30, alpha=1.0)
+    second = generate_random(seed=5, n_nodes=12, n_links=30, n_routes=10, alpha=2.0)
+    cases = [
+        ("weights", first, build_partition(first, balanced_assignment(first, 4)), 10),
+        ("routeless", second, _routeless_partition(second, 3), None),
+    ]
+    for name, inst, part, update_at in cases:
+        controllers = build_controllers(inst, part, default_objective(inst), penalty=0.8)
+        meter = OverheadMeter()
+        log = []
+        for k in range(20):
+            if k == update_at:
+                weights = inst.weights * np.linspace(0.6, 1.4, inst.n_routes)
+                inject_weight_update(controllers, weights)
+            run_round(controllers, k, meter=meter, log=log)
+        path = workdir / "messages.csv"
+        export_message_log(log, path)
+        yield f"{name}.messages", path.read_bytes()
+        yield f"{name}.per_pair", repr(sorted(meter.per_pair.items())).encode()
+        yield f"{name}.per_round", repr(sorted(meter.per_round.items())).encode()
+        yield f"{name}.link_values", _array(gather_link_values(controllers, inst))
+        yield f"{name}.allocation", _array(gather_allocation(controllers, inst.n_routes))
+        for attr in ("consensus", "route_values", "route_duals"):
+            yield f"{name}.{attr}", _array(gather_route_replicas(controllers, inst.n_routes, attr))
+
+
 def main() -> int:
     groups = {algorithm: hashlib.sha256() for algorithm in ALGORITHMS}
     total = hashlib.sha256()
+    simulator = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for group, name, data in entries(Path(tmp)):
             record = name.encode() + b"\0" + hashlib.sha256(data).digest()
             groups[group].update(record)
             total.update(record)
+        for name, data in simulator_entries(Path(tmp)):
+            simulator.update(name.encode() + b"\0" + hashlib.sha256(data).digest())
     for algorithm, digest in groups.items():
         print(f"{algorithm} {digest.hexdigest()}")
+    print(f"simulator {simulator.hexdigest()}")
     print(f"total {total.hexdigest()}")
     return 0
 

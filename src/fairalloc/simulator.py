@@ -1,18 +1,39 @@
 """In-process message-passing execution of the link-by-link consensus method.
 
-Each domain controller owns the links of one partition class, keeps replicas
-of the route-owned variables for every route crossing it, and exchanges two
-floats per shared route per round (its aggregate over the route's local
-copies, and its local feasible minimum).  Rounds are synchronous: every node
-computes from the messages of the previous round, then all new messages are
-delivered at once.
+Each domain controller owns the links of one partition class and keeps
+replicas of the route-owned variables for every route crossing it.  Rounds
+are synchronous: every node computes from the messages of the previous
+round, then all new messages are delivered at once.
 
-Arithmetic matches the vectorized solver bit for bit: both reduce the same
-operand sequences (copies ordered by route, domain, link) with the same
-canonical summation, and the per-link projection and per-route prox are the
-identical routines.  The only schedule difference is that a controller
-applies the enforced feasible minimum one round after the solver's eager
-extract, because the peer minima travel inside messages.
+Node layout.  A node keeps its link copies in one flat array ``copies`` in
+incidence order (links ascending, member routes ascending) with the duals in
+a parallel array; ``link_values[j]`` and ``link_duals[j]`` are views into
+them.  Each local route has one slot per holder domain, self included, in
+ascending domain order, in two arrays: ``aggregates`` (a holder's sum over
+its copies of the route) and ``minima`` (a holder's minimum over them).  A
+round is then a fixed set of array calls: the enforced allocation is the
+per-route minimum over the slots, the consensus the per-route sum over the
+slots plus the route-owned copy over the divisor, then a dual step, one
+batched projection over all owned links, a route dual step and one prox
+call.  The node writes its new sum and minimum, over its copies in
+(route, link) order, into its own slots.
+
+Messages.  A node sends one :class:`PeerMessage` per peer domain it shares
+routes with, carrying the shared routes in ascending order with two floats
+each (its aggregate and its minimum); delivery stores them into the
+receiver's slots for that sender.  The wire traffic is therefore still two
+floats per shared route per peer per round.  :class:`RouteMessage` is the
+per-route row of the optional message log.
+
+Arithmetic matches the vectorized solver bit for bit.  The solver's
+aggregation groups are ordered by (route, domain, link), so each slot holds
+the operand the solver sums in the same place, and ``segment_sums`` applies
+one fixed tree per segment however many segments a call reduces.  The dual
+steps are the same elementwise operations, the batched projection is
+bit-identical to the per-link projection, and the prox is bitwise
+independent of batching.  The only schedule difference is that a
+controller applies the enforced feasible minimum one round after the
+solver's eager extract, because the peer minima travel inside messages.
 """
 
 from __future__ import annotations
@@ -23,8 +44,8 @@ import numpy as np
 
 from .fairness import FairnessObjective, PenaltyState, prox_values
 from .model import Instance, Partition
-from .numerics import canonical_sum
-from .projections import project_capped_simplex
+from .numerics import segment_mins, segment_sums
+from .projections import BatchedLinkProjector
 from .solvers import ConsensusIndex, initial_state
 from .trace import format_value
 
@@ -35,12 +56,26 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class RouteMessage:
+    """One route's payload from one sender to one receiver (a message-log row)."""
+
     round_index: int
     sender: int
     receiver: int
     route: int
     value: float
     feasible_value: float
+
+
+@dataclass(frozen=True)
+class PeerMessage:
+    """Everything one domain sends one peer in a round, routes ascending."""
+
+    round_index: int
+    sender: int
+    receiver: int
+    routes: np.ndarray
+    values: np.ndarray
+    feasible_values: np.ndarray
 
 
 class OverheadMeter:
@@ -62,7 +97,7 @@ class OverheadMeter:
 
 @dataclass
 class ControllerNode:
-    """One domain's controller: local link copies plus route-variable replicas."""
+    """One domain's controller: flat link copies plus route-variable replicas."""
 
     domain: int
     alpha: float
@@ -70,90 +105,54 @@ class ControllerNode:
     routes: np.ndarray            # routes crossing this domain, ascending
     weights: np.ndarray           # their weights, same order
     divisors: np.ndarray          # |J_r| + 1 per local route
-    peers: list[tuple[int, ...]]  # other domains holding each route
     links: list[int]              # owned links, ascending
-    capacities: dict[int, float]
-    member_positions: dict[int, np.ndarray]  # link -> positions into self.routes
-    route_slots: list[list[tuple[int, int]]]  # per route: (link, offset) pairs, link ascending
-    link_values: dict[int, np.ndarray]
-    link_duals: dict[int, np.ndarray]
+    link_starts: np.ndarray       # offsets of each owned link's copies, len(links) + 1
+    copies: np.ndarray            # owned link copies, incidence order
+    duals: np.ndarray             # their duals, same order
+    copy_index: np.ndarray        # incidence position of each copy
+    copy_route: np.ndarray        # position in ``routes`` of each copy's route
+    projector: BatchedLinkProjector
+    order: np.ndarray             # copies in (route, link) order
+    route_starts: np.ndarray      # per local route: its segment of ``order``
+    aggregates: np.ndarray        # per (local route, holder domain ascending)
+    minima: np.ndarray            # same slots as ``aggregates``
+    part_starts: np.ndarray       # per local route: its segment of the slots
+    own_slots: np.ndarray         # per local route: this domain's slot
+    outbox: dict[int, tuple[np.ndarray, np.ndarray]]  # peer -> (shared routes, own slots)
+    inbox: dict[int, np.ndarray]  # peer -> its slots, shared routes ascending
     route_values: np.ndarray      # replicated route-owned copies
     route_duals: np.ndarray
     consensus: np.ndarray
     feasible: np.ndarray          # enforced allocation, lags the solver by one round
-    own_aggregate: np.ndarray
-    own_minimum: np.ndarray
-    inbox: dict[tuple[int, int], tuple[float, float]] = field(default_factory=dict)
+    link_values: dict[int, np.ndarray] = field(init=False)  # views into ``copies``
+    link_duals: dict[int, np.ndarray] = field(init=False)   # views into ``duals``
 
-    def position_of(self, route: int) -> int:
-        i = int(np.searchsorted(self.routes, route))
-        if i >= self.routes.size or self.routes[i] != route:
-            raise SimulationError(f"domain {self.domain} does not hold route {route}")
-        return i
+    def __post_init__(self):
+        bounds = list(zip(self.links, self.link_starts[:-1], self.link_starts[1:]))
+        self.link_values = {j: self.copies[lo:hi] for j, lo, hi in bounds}
+        self.link_duals = {j: self.duals[lo:hi] for j, lo, hi in bounds}
 
-    def compute_round(self, round_index: int) -> list[RouteMessage]:
-        """Lines of one synchronous round; returns this node's outgoing mail."""
-        n = self.routes.size
-        # enforce: min over every domain's latest feasible minimum for the route
-        for i in range(n):
-            r = int(self.routes[i])
-            best = self.own_minimum[i]
-            for q in self.peers[i]:
-                best = min(best, self.inbox[(r, q)][1])
-            self.feasible[i] = best
-        # average: peer aggregates and the local one, domain-ascending order
-        for i in range(n):
-            r = int(self.routes[i])
-            parts = np.empty(len(self.peers[i]) + 1)
-            slot = 0
-            placed = False
-            for q in self.peers[i]:
-                if not placed and self.domain < q:
-                    parts[slot] = self.own_aggregate[i]
-                    slot += 1
-                    placed = True
-                parts[slot] = self.inbox[(r, q)][0]
-                slot += 1
-            if not placed:
-                parts[slot] = self.own_aggregate[i]
-            self.consensus[i] = (canonical_sum(parts) + self.route_values[i]) / self.divisors[i]
-        # dual step and projection for each owned link
-        for j in self.links:
-            members = self.member_positions[j]
-            if members.size == 0:
-                continue
-            target = self.consensus[members]
-            self.link_duals[j] += self.link_values[j] - target
-            self.link_values[j] = project_capped_simplex(
-                target - self.link_duals[j], self.capacities[j]
-            )
-        # replicated route-owned copy: dual step then prox
+    def compute_round(self, round_index: int) -> list[PeerMessage]:
+        """Lines of one synchronous round; returns one message per peer."""
+        if not self.routes.size:
+            return []
+        self.feasible = segment_mins(self.minima, self.part_starts)
+        totals = segment_sums(self.aggregates, self.part_starts)
+        self.consensus = (totals + self.route_values) / self.divisors
+        spread = self.consensus[self.copy_route]
+        self.duals += self.copies - spread
+        self.projector.apply(spread - self.duals, out=self.copies)
         self.route_duals += self.route_values - self.consensus
         self.route_values = prox_values(
             self.alpha, self.weights, self.consensus - self.route_duals, self.penalty
         )
-        # refresh local aggregates (the payload of this round's messages)
-        outgoing: list[RouteMessage] = []
-        for i in range(n):
-            r = int(self.routes[i])
-            slots = self.route_slots[i]
-            vals = np.empty(len(slots))
-            for s, (j, offset) in enumerate(slots):
-                vals[s] = self.link_values[j][offset]
-            self.own_aggregate[i] = canonical_sum(vals)
-            self.own_minimum[i] = float(np.min(vals))
-            for q in self.peers[i]:
-                outgoing.append(
-                    RouteMessage(
-                        round_index=round_index,
-                        sender=self.domain,
-                        receiver=q,
-                        route=r,
-                        value=float(self.own_aggregate[i]),
-                        feasible_value=float(self.own_minimum[i]),
-                    )
-                )
-        return outgoing
+        by_route = self.copies[self.order]
+        self.aggregates[self.own_slots] = segment_sums(by_route, self.route_starts)
+        self.minima[self.own_slots] = segment_mins(by_route, self.route_starts)
+        return [
+            PeerMessage(round_index, self.domain, q, routes, self.aggregates[slots], self.minima[slots])
+            for q, (routes, slots) in self.outbox.items()
+        ]
 
 
 def build_controllers(
@@ -162,53 +161,51 @@ def build_controllers(
     objective: FairnessObjective,
     penalty: float,
 ) -> list[ControllerNode]:
-    """Controllers in the solver's initial state, inboxes pre-seeded.
+    """Controllers in the solver's initial state, every slot pre-seeded.
 
-    Seeding the first round's inboxes from the equal-split initialization
-    makes round ``k`` of the simulation consume exactly the aggregates the
-    vectorized solver consumes at iteration ``k``.
+    The slots start from the equal-split aggregates and minima of
+    ``initial_state``, so round ``k`` of the simulation consumes exactly the
+    aggregates the vectorized solver consumes at iteration ``k``.
     """
     if not (penalty > 0 and np.isfinite(penalty)):
         raise SimulationError(f"penalty must be finite and > 0, got {penalty}")
+    if objective.weights.size != instance.n_routes:
+        raise SimulationError(
+            f"objective has {objective.weights.size} weights for {instance.n_routes} routes"
+        )
     index = ConsensusIndex(instance, partition)
     base = initial_state(index, PenaltyState(value=penalty, frozen=True))
-    nodes: list[ControllerNode] = []
     inc = instance.incidence
-    domain_arr = partition.domain_of_link
+    domain_of_copy = np.asarray(partition.domain_of_link, dtype=np.intp)[inc.copy_link]
+    # the solver's (route, domain) aggregation groups are the holder slots
+    group_copies = index.perm_rd[index.rd_starts]
+    group_route = inc.copy_route[group_copies]
+    group_domain = domain_of_copy[group_copies]
+    rd_domain = domain_of_copy[index.perm_rd]
+    link_sizes = np.diff(inc.link_starts)
+    nodes: list[ControllerNode] = []
     for p in range(1, partition.n_domains + 1):
         routes = np.array(partition.routes_by_domain[p], dtype=np.intp)
-        pos_of = {int(r): i for i, r in enumerate(routes)}
-        links = sorted(partition.links_by_domain[p])
-        member_positions = {}
-        link_values = {}
-        link_duals = {}
-        for j in links:
-            members = inc.members(j)
-            member_positions[j] = np.array([pos_of[int(r)] for r in members], dtype=np.intp)
-            lo = inc.link_starts[j]
-            hi = inc.link_starts[j + 1]
-            link_values[j] = base.link_values[lo:hi].copy()
-            link_duals[j] = np.zeros(hi - lo)
-        route_slots: list[list[tuple[int, int]]] = []
-        peers: list[tuple[int, ...]] = []
-        divisors = np.empty(routes.size)
-        for i, r in enumerate(routes):
-            r = int(r)
-            slots = []
-            for j in sorted(instance.routes[r].links):
-                if domain_arr[j] == p:
-                    offset = int(np.searchsorted(inc.members(j), r))
-                    slots.append((j, offset))
-            route_slots.append(slots)
-            peers.append(tuple(q for q in partition.domains_of_route[r] if q not in (0, p)))
-            divisors[i] = len(instance.routes[r].links) + 1
-        own_aggregate = np.empty(routes.size)
-        own_minimum = np.empty(routes.size)
-        for i in range(routes.size):
-            slots = route_slots[i]
-            vals = np.array([link_values[j][offset] for j, offset in slots])
-            own_aggregate[i] = canonical_sum(vals)
-            own_minimum[i] = float(np.min(vals))
+        links = list(partition.links_by_domain[p])
+        copy_index = np.nonzero(domain_of_copy == p)[0]
+        link_starts = np.concatenate(([0], np.cumsum(link_sizes[links])))
+        copy_route = np.searchsorted(routes, inc.copy_route[copy_index])
+        # this domain's copies in (route, link) order, as the solver groups them
+        order = np.searchsorted(copy_index, index.perm_rd[rd_domain == p])
+        route_starts = np.nonzero(np.diff(copy_route[order], prepend=-1))[0]
+        local = np.zeros(instance.n_routes, dtype=bool)
+        local[routes] = True
+        groups = np.nonzero(local[group_route])[0]
+        slot_route = group_route[groups]
+        slot_domain = group_domain[groups]
+        part_starts = np.nonzero(np.diff(slot_route, prepend=-1))[0]
+        outbox: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        inbox: dict[int, np.ndarray] = {}
+        own_slots = np.nonzero(slot_domain == p)[0]
+        for q in sorted(set(slot_domain.tolist()) - {p}):
+            inbox[q] = np.nonzero(slot_domain == q)[0]
+            shared = slot_route[inbox[q]]
+            outbox[q] = (shared, own_slots[np.searchsorted(routes, shared)])
         nodes.append(
             ControllerNode(
                 domain=p,
@@ -216,32 +213,51 @@ def build_controllers(
                 penalty=penalty,
                 routes=routes,
                 weights=objective.weights[routes],
-                divisors=divisors,
-                peers=peers,
-                links=list(links),
-                capacities={j: float(instance.capacities[j]) for j in links},
-                member_positions=member_positions,
-                route_slots=route_slots,
-                link_values=link_values,
-                link_duals=link_duals,
-                route_values=base.route_values[routes].copy(),
+                divisors=index.route_divisor[routes],
+                links=links,
+                link_starts=link_starts,
+                copies=base.link_values[copy_index],
+                duals=np.zeros(copy_index.size),
+                copy_index=copy_index,
+                copy_route=copy_route,
+                projector=BatchedLinkProjector(link_starts, instance.capacities[links]),
+                order=order,
+                route_starts=route_starts,
+                aggregates=base.sent_values[groups],
+                minima=base.sent_mins[groups],
+                part_starts=part_starts,
+                own_slots=own_slots,
+                outbox=outbox,
+                inbox=inbox,
+                route_values=base.route_values[routes],
                 route_duals=np.zeros(routes.size),
-                consensus=base.consensus[routes].copy(),
-                feasible=base.extract[routes].copy(),
-                own_aggregate=own_aggregate,
-                own_minimum=own_minimum,
+                consensus=base.consensus[routes],
+                feasible=base.extract[routes],
             )
         )
-    # seed the first round's inboxes from the initialization aggregates
-    by_domain = {node.domain: node for node in nodes}
-    for node in nodes:
-        for i, r in enumerate(node.routes):
-            for q in node.peers[i]:
-                by_domain[q].inbox[(int(r), node.domain)] = (
-                    float(node.own_aggregate[i]),
-                    float(node.own_minimum[i]),
-                )
     return nodes
+
+
+def _log_rows(messages: list[PeerMessage]) -> list[RouteMessage]:
+    """One sender's messages as per-route rows, ordered by (route, receiver)."""
+    if not messages:
+        return []
+    routes = np.concatenate([m.routes for m in messages])
+    receivers = np.repeat([m.receiver for m in messages], [m.routes.size for m in messages])
+    values = np.concatenate([m.values for m in messages])
+    minima = np.concatenate([m.feasible_values for m in messages])
+    first = messages[0]
+    return [
+        RouteMessage(
+            round_index=first.round_index,
+            sender=first.sender,
+            receiver=int(receivers[i]),
+            route=int(routes[i]),
+            value=float(values[i]),
+            feasible_value=float(minima[i]),
+        )
+        for i in np.lexsort((receivers, routes))
+    ]
 
 
 def run_round(
@@ -251,18 +267,20 @@ def run_round(
     log: list[RouteMessage] | None = None,
 ) -> None:
     """One synchronous round: all nodes compute, then all messages deliver."""
-    outgoing: list[RouteMessage] = []
+    outgoing: list[PeerMessage] = []
     for node in controllers:
-        outgoing.extend(node.compute_round(round_index))
-    for node in controllers:
-        node.inbox.clear()
+        sent = node.compute_round(round_index)
+        outgoing.extend(sent)
+        if log is not None:
+            log.extend(_log_rows(sent))
     by_domain = {node.domain: node for node in controllers}
     for msg in outgoing:
-        by_domain[msg.receiver].inbox[(msg.route, msg.sender)] = (msg.value, msg.feasible_value)
+        receiver = by_domain[msg.receiver]
+        slots = receiver.inbox[msg.sender]
+        receiver.aggregates[slots] = msg.values
+        receiver.minima[slots] = msg.feasible_values
         if meter is not None:
-            meter.add(round_index, msg.sender, msg.receiver, 2)
-        if log is not None:
-            log.append(msg)
+            meter.add(round_index, msg.sender, msg.receiver, 2 * msg.routes.size)
 
 
 def inject_weight_update(controllers: list[ControllerNode], weights: np.ndarray) -> None:
@@ -276,16 +294,23 @@ def inject_weight_update(controllers: list[ControllerNode], weights: np.ndarray)
         node.weights = w[node.routes]
 
 
-def gather_allocation(controllers: list[ControllerNode], n_routes: int) -> np.ndarray:
-    """Collect the enforced allocation, checking replicas agree exactly."""
+def _gather_replicas(controllers: list[ControllerNode], n_routes: int, attr: str) -> np.ndarray:
+    """Per-route values of ``attr`` over all holders, raising on a bitwise mismatch."""
     out = np.full(n_routes, np.nan)
     for node in controllers:
-        for i, r in enumerate(node.routes):
-            r = int(r)
-            if np.isnan(out[r]):
-                out[r] = node.feasible[i]
-            elif out[r] != node.feasible[i]:
-                raise SimulationError(f"route {r}: feasible replicas diverged")
+        arr = getattr(node, attr)
+        held = out[node.routes]
+        diverged = ~np.isnan(held) & (held != arr)
+        if diverged.any():
+            r = int(node.routes[np.argmax(diverged)])
+            raise SimulationError(f"route {r}: {attr} replicas diverged")
+        out[node.routes] = arr
+    return out
+
+
+def gather_allocation(controllers: list[ControllerNode], n_routes: int) -> np.ndarray:
+    """Collect the enforced allocation, checking replicas agree exactly."""
+    out = _gather_replicas(controllers, n_routes, "feasible")
     if np.any(np.isnan(out)):
         raise SimulationError("some route is held by no controller")
     return out
@@ -294,27 +319,14 @@ def gather_allocation(controllers: list[ControllerNode], n_routes: int) -> np.nd
 def gather_route_replicas(controllers: list[ControllerNode], n_routes: int, attr: str) -> np.ndarray:
     """Collect a replicated per-route array (consensus / route_values / route_duals),
     raising if any two domains disagree bitwise."""
-    out = np.full(n_routes, np.nan)
-    for node in controllers:
-        arr = getattr(node, attr)
-        for i, r in enumerate(node.routes):
-            r = int(r)
-            if np.isnan(out[r]):
-                out[r] = arr[i]
-            elif out[r] != arr[i]:
-                raise SimulationError(f"route {r}: {attr} replicas diverged")
-    return out
+    return _gather_replicas(controllers, n_routes, attr)
 
 
 def gather_link_values(controllers: list[ControllerNode], instance: Instance) -> np.ndarray:
     """Flatten per-link copies back into the instance's incidence layout."""
-    inc = instance.incidence
-    flat = np.full(inc.n_copies, np.nan)
+    flat = np.full(instance.incidence.n_copies, np.nan)
     for node in controllers:
-        for j in node.links:
-            lo = inc.link_starts[j]
-            hi = inc.link_starts[j + 1]
-            flat[lo:hi] = node.link_values[j]
+        flat[node.copy_index] = node.copies
     if np.any(np.isnan(flat)):
         raise SimulationError("some link is owned by no controller")
     return flat

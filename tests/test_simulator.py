@@ -164,3 +164,103 @@ def test_build_controllers_validates():
     obj = default_objective(inst)
     with pytest.raises(SimulationError, match="penalty"):
         build_controllers(inst, part, obj, penalty=0.0)
+
+
+def _shared_routes(part):
+    """(p, q) -> ascending routes held by both domains, p != q."""
+    shared = {}
+    for r, holders in enumerate(part.domains_of_route):
+        for p in holders[1:]:
+            for q in holders[1:]:
+                if p != q:
+                    shared.setdefault((p, q), []).append(r)
+    return shared
+
+
+def test_routeless_domain_computes_and_sends_nothing():
+    """A domain owning only untraversed links stays out of every exchange,
+    and the others still match the vectorized solver bit for bit."""
+    inst = generate_random(seed=5, n_nodes=12, n_links=30, n_routes=10, alpha=2.0)
+    carrying = {j for route in inst.routes for j in route.links}
+    assignment = balanced_assignment(inst, 3)
+    for j in range(inst.n_links):
+        if j not in carrying:
+            assignment[j] = 4
+    part = build_partition(inst, assignment)
+    assert part.routes_by_domain[4] == ()
+    obj = default_objective(inst)
+    state = initial_state(ConsensusIndex(inst, part), PenaltyState(value=0.8, frozen=True))
+    nodes = build_controllers(inst, part, obj, penalty=0.8)
+    meter = OverheadMeter()
+    for k in range(10):
+        fdadmm_round(state, obj)
+        run_round(nodes, k, meter=meter)
+        assert np.array_equal(gather_link_values(nodes, inst), state.link_values)
+        assert np.array_equal(gather_route_replicas(nodes, inst.n_routes, "consensus"), state.consensus)
+        assert np.array_equal(gather_route_replicas(nodes, inst.n_routes, "route_values"), state.route_values)
+    assert meter.per_pair
+    assert all(4 not in pair for pair in meter.per_pair)
+
+
+def test_build_controllers_rejects_mismatched_objective():
+    from fairalloc.fairness import FairnessObjective
+
+    inst = generate_random(seed=4, n_nodes=8, n_links=12, n_routes=10, alpha=1.0)
+    part = build_partition(inst, balanced_assignment(inst, 2))
+    for count in (5, 20):
+        obj = FairnessObjective(alpha=1.0, weights=np.ones(count))
+        with pytest.raises(SimulationError, match="weights"):
+            build_controllers(inst, part, obj, penalty=1.0)
+
+
+def test_one_message_per_peer_with_routes_ascending():
+    inst, part, obj, idx, state, nodes = make_setup(seed=3, domains=6)
+    shared = _shared_routes(part)
+    for node in nodes:
+        messages = node.compute_round(0)
+        peers = sorted(q for (p, q) in shared if p == node.domain)
+        assert [m.receiver for m in messages] == peers
+        for m in messages:
+            assert (m.round_index, m.sender) == (0, node.domain)
+            assert m.routes.tolist() == shared[(node.domain, m.receiver)]
+            assert m.values.shape == m.feasible_values.shape == m.routes.shape
+
+
+def test_meter_counts_two_floats_per_shared_route_per_pair():
+    inst, part, obj, idx, state, nodes = make_setup(seed=9, domains=5)
+    meter = OverheadMeter()
+    for k in range(4):
+        run_round(nodes, k, meter=meter)
+    shared = _shared_routes(part)
+    assert meter.per_pair == {pair: 2 * 4 * len(routes) for pair, routes in shared.items()}
+
+
+def test_link_values_write_through_to_flat_copies():
+    inst, part, obj, idx, state, nodes = make_setup(seed=11)
+    run_round(nodes, 0)
+    before = gather_link_values(nodes, inst)
+    node = next(n for n in nodes if n.copies.size)
+    j = next(j for j in node.links if node.link_values[j].size)
+    node.link_values[j][0] = np.nextafter(node.link_values[j][0], np.inf)
+    after = gather_link_values(nodes, inst)
+    changed = np.nonzero(after != before)[0]
+    assert changed.tolist() == [inst.incidence.link_starts[j]]
+    assert after[changed[0]] == np.nextafter(before[changed[0]], np.inf)
+
+
+def test_message_log_bytes_are_pinned(tmp_path):
+    """Three rounds of the per-route log, byte for byte as the per-route
+    message-passing implementation wrote them."""
+    import hashlib
+
+    inst, part, obj, idx, state, nodes = make_setup(seed=11)
+    log = []
+    for k in range(3):
+        run_round(nodes, k, log=log)
+    path = tmp_path / "messages.csv"
+    export_message_log(log, path)
+    assert len(log) == 144
+    assert (
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        == "8ba44ffe72272ef301a4c0b21b9985952896e9393c292164859d9150ec1757b4"
+    )
