@@ -10,7 +10,6 @@ from .fairness import (
     default_objective,
     moduli,
     optimal_lambda,
-    prox,
     prox_values,
     utility,
 )

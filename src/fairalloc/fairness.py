@@ -166,13 +166,6 @@ def prox_values(alpha: float, weights: np.ndarray, values: np.ndarray, lam: floa
     return x_a.reshape(v.shape)
 
 
-def prox(objective: FairnessObjective, route: int, value: float, lam: float) -> float:
-    """Scalar prox for one route; identical arithmetic to ``prox_values``."""
-    w = np.array([objective.weights[route]])
-    v = np.array([float(value)])
-    return float(prox_values(objective.alpha, w, v, lam)[0])
-
-
 # ---------------------------------------------------------------------------
 # convexity moduli and penalty selection
 

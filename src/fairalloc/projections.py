@@ -1,10 +1,13 @@
 """Euclidean projections onto per-link capacity sets and the full polyhedron.
 
-The workhorse is projection onto one link's capped simplex
-``{x >= 0, sum(x) <= C}`` via the sort-and-threshold rule.  A batched variant
-applies it to many links at once with arithmetic bit-identical to the 1-D
-routine, which is what lets a vectorized solver and a per-node simulation of
-the same algorithm agree to the last bit.
+One kernel, :class:`BatchedLinkProjector`, projects every link of a flat
+copy layout onto its capped simplex ``{x >= 0, sum(x) <= C}`` at once by the
+sort-and-threshold rule, treating each link on its own, so its result for a
+link does not depend on which other links share the call.  That is what lets
+a vectorized solver and a per-node simulation of the same algorithm agree to
+the last bit.  :func:`project_capped_simplex` is its one-link call.  The
+tests check it against an independent 1-D sort-and-threshold routine
+(``tests/oracles.py``) that shares no code with the package.
 
 Projection onto the intersection of all link sets uses Dykstra's method with
 one correction term per set.  Each cycle visits the links by colour class of
@@ -28,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Instance
-from .numerics import canonical_sum, segment_sums
+from .numerics import segment_sums
 
 
 class ProjectionError(ValueError):
@@ -44,19 +47,8 @@ class DykstraError(RuntimeError):
         self.residual = residual
 
 
-def _enforce_cap(x: np.ndarray, cap: float) -> None:
-    """Remove any rounding excess in place so ``canonical_sum(x) <= cap`` exactly."""
-    for _ in range(64):
-        total = canonical_sum(x)
-        if total <= cap:
-            return
-        i = int(np.argmax(x))
-        x[i] = max(x[i] - (total - cap), 0.0)
-    raise ProjectionError("could not repair rounding excess")  # pragma: no cover
-
-
 def project_capped_simplex(values: np.ndarray, cap: float) -> np.ndarray:
-    """Project onto ``{x >= 0, sum(x) <= cap}`` by sort-and-threshold.
+    """Project onto ``{x >= 0, sum(x) <= cap}``: one link of :class:`BatchedLinkProjector`.
 
     When the clipped point already fits under the cap it is returned as is;
     otherwise the unique threshold ``theta > 0`` with
@@ -68,17 +60,8 @@ def project_capped_simplex(values: np.ndarray, cap: float) -> np.ndarray:
         raise ProjectionError("values must be a nonempty 1-D array")
     if not (cap > 0 and np.isfinite(cap)):
         raise ProjectionError(f"capacity must be finite and > 0, got {cap}")
-    x = np.maximum(y, 0.0)
-    if canonical_sum(x) <= cap:
-        return x
-    s = np.sort(y)[::-1]
-    csum = np.cumsum(s)
-    ranks = np.arange(1, y.size + 1, dtype=np.float64)
-    positive = s - (csum - cap) / ranks > 0
-    k = y.size - 1 - int(np.argmax(positive[::-1]))
-    theta = (csum[k] - cap) / (k + 1.0)
-    x = np.maximum(y - theta, 0.0)
-    _enforce_cap(x, cap)
+    x = np.empty_like(y)
+    BatchedLinkProjector(np.array([0, y.size]), np.array([cap])).apply(y, out=x)
     return x
 
 
@@ -89,10 +72,10 @@ class BatchedLinkProjector:
     link with ``segment_sums`` over the flat layout; only the links over
     their cap go on to sort-and-threshold, as the rows of one matrix padded
     with ``-inf``.  Pads sort to the end of each row and ``cumsum`` is a
-    sequential scan, so every prefix of real entries is the 1-D one, and
-    every sum that decides feasibility is taken over the unpadded copies.
-    ``apply`` therefore matches ``project_capped_simplex`` link by link, bit
-    for bit, including the exact-feasibility repair.
+    sequential scan, so every prefix of real entries is the one a single
+    link's sort would give, and every sum that decides feasibility is taken
+    over the unpadded copies.  A link's result is therefore the same bits
+    whichever links share the call, including the exact-feasibility repair.
     """
 
     def __init__(self, link_starts: np.ndarray, capacities: np.ndarray):
@@ -106,7 +89,7 @@ class BatchedLinkProjector:
     def apply(self, flat_values: np.ndarray, out: np.ndarray) -> None:
         x = np.maximum(flat_values, 0.0)  # not in ``out``: it may alias ``flat_values``
         if self._starts.size:
-            # a NaN sum fails ``<=``: its link is projected and, as in 1-D, the repair raises
+            # a NaN sum fails ``<=``: its link is projected and the repair raises
             over = ~(segment_sums(x, self._starts) <= self._caps)
             if over.any():
                 positions, values = self._project_over(flat_values, over)
@@ -131,7 +114,7 @@ class BatchedLinkProjector:
         with np.errstate(invalid="ignore"):  # pads give -inf - -inf
             positive = (s - (csum - caps[:, None]) / ranks > 0) & real
         last = q - 1 - np.argmax(positive[:, ::-1], axis=1)
-        # a row with no positive entry takes its last real index, as in 1-D
+        # a row with no positive entry takes its last real index
         k = np.where(positive.any(axis=1), last, sizes - 1)
         theta = (csum[np.arange(m), k] - caps) / (k + 1.0)
         x = np.maximum(y - np.repeat(theta, sizes), 0.0)
@@ -142,11 +125,12 @@ class BatchedLinkProjector:
 def _enforce_caps(
     x: np.ndarray, padded: np.ndarray, real: np.ndarray, sizes: np.ndarray, caps: np.ndarray
 ) -> None:
-    """``_enforce_cap`` on every row of the flat concatenation ``x`` at once.
+    """Remove any rounding excess in place from every row of the flat
+    concatenation ``x``, so that each row's canonical sum is at most its cap.
 
     Rows are ``sizes`` long; ``padded`` is scratch of shape ``real.shape``.
-    Each still-over row takes the same steps as in the 1-D loop: its
-    canonical sum, then the excess taken off its first maximum.
+    Each pass takes every row's canonical sum and, in each row still over
+    its cap, takes the excess off the row's first maximum (clipped at 0).
     """
     row_starts = np.zeros(sizes.size, dtype=np.intp)
     np.cumsum(sizes[:-1], out=row_starts[1:])

@@ -10,13 +10,13 @@ incidence order (links ascending, member routes ascending) with the duals in
 a parallel array; ``link_values[j]`` and ``link_duals[j]`` are views into
 them.  Each local route has one slot per holder domain, self included, in
 ascending domain order, in two arrays: ``aggregates`` (a holder's sum over
-its copies of the route) and ``minima`` (a holder's minimum over them).  A
-round is then a fixed set of array calls: the enforced allocation is the
-per-route minimum over the slots, the consensus the per-route sum over the
-slots plus the route-owned copy over the divisor, then a dual step, one
-batched projection over all owned links, a route dual step and one prox
-call.  The node writes its new sum and minimum, over its copies in
-(route, link) order, into its own slots.
+its copies of the route) and ``minima`` (a holder's minimum over them).  The
+node's :class:`~fairalloc.solvers.RoundLayout` describes these arrays.  A
+round takes the enforced allocation as the per-route minimum over the
+slots, runs the solver's round kernel
+:func:`~fairalloc.solvers.consensus_round` on the node's arrays, and writes
+the node's new sum and minimum, over its copies in (route, link) order, into
+its own slots.
 
 Messages.  A node sends one :class:`PeerMessage` per peer domain it shares
 routes with, carrying the shared routes in ascending order with two floats
@@ -25,15 +25,12 @@ receiver's slots for that sender.  The wire traffic is therefore still two
 floats per shared route per peer per round.  :class:`RouteMessage` is the
 per-route row of the optional message log.
 
-Arithmetic matches the vectorized solver bit for bit.  The solver's
-aggregation groups are ordered by (route, domain, link), so each slot holds
-the operand the solver sums in the same place, and ``segment_sums`` applies
-one fixed tree per segment however many segments a call reduces.  The dual
-steps are the same elementwise operations, the batched projection is
-bit-identical to the per-link projection, and the prox is bitwise
-independent of batching.  The only schedule difference is that a
-controller applies the enforced feasible minimum one round after the
-solver's eager extract, because the peer minima travel inside messages.
+Arithmetic matches the vectorized solver bit for bit, because both run the
+same kernel, each slot holds the operand the solver sums in the same place,
+and every step of the kernel treats each segment, link and route on its own.
+The only schedule difference is that a controller applies the enforced
+feasible minimum one round after the solver's eager extract, because the
+peer minima travel inside messages.
 """
 
 from __future__ import annotations
@@ -42,11 +39,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fairness import FairnessObjective, PenaltyState, prox_values
+# ``prox_values`` is unused here but stays bound: the benchmark's tracer tests wrap it under this name
+from .fairness import FairnessObjective, PenaltyState, prox_values  # noqa: F401
 from .model import Instance, Partition
-from .numerics import segment_mins, segment_sums
+from .numerics import segment_mins
 from .projections import BatchedLinkProjector
-from .solvers import ConsensusIndex, initial_state
+from .solvers import ConsensusIndex, RoundLayout, consensus_round, initial_state, wire_floats_per_round
 from .trace import format_value
 
 
@@ -104,19 +102,14 @@ class ControllerNode:
     penalty: float
     routes: np.ndarray            # routes crossing this domain, ascending
     weights: np.ndarray           # their weights, same order
-    divisors: np.ndarray          # |J_r| + 1 per local route
     links: list[int]              # owned links, ascending
     link_starts: np.ndarray       # offsets of each owned link's copies, len(links) + 1
     copies: np.ndarray            # owned link copies, incidence order
     duals: np.ndarray             # their duals, same order
     copy_index: np.ndarray        # incidence position of each copy
-    copy_route: np.ndarray        # position in ``routes`` of each copy's route
-    projector: BatchedLinkProjector
-    order: np.ndarray             # copies in (route, link) order
-    route_starts: np.ndarray      # per local route: its segment of ``order``
+    layout: RoundLayout           # over ``routes``, the slots and ``copies``
     aggregates: np.ndarray        # per (local route, holder domain ascending)
     minima: np.ndarray            # same slots as ``aggregates``
-    part_starts: np.ndarray       # per local route: its segment of the slots
     own_slots: np.ndarray         # per local route: this domain's slot
     outbox: dict[int, tuple[np.ndarray, np.ndarray]]  # peer -> (shared routes, own slots)
     inbox: dict[int, np.ndarray]  # peer -> its slots, shared routes ascending
@@ -136,19 +129,13 @@ class ControllerNode:
         """Lines of one synchronous round; returns one message per peer."""
         if not self.routes.size:
             return []
-        self.feasible = segment_mins(self.minima, self.part_starts)
-        totals = segment_sums(self.aggregates, self.part_starts)
-        self.consensus = (totals + self.route_values) / self.divisors
-        spread = self.consensus[self.copy_route]
-        self.duals += self.copies - spread
-        self.projector.apply(spread - self.duals, out=self.copies)
-        self.route_duals += self.route_values - self.consensus
-        self.route_values = prox_values(
-            self.alpha, self.weights, self.consensus - self.route_duals, self.penalty
+        self.feasible = segment_mins(self.minima, self.layout.slot_starts)
+        self.consensus, self.route_values, sums, mins = consensus_round(
+            self.layout, self.aggregates, self.route_values, self.copies, self.duals,
+            self.route_duals, self.alpha, self.weights, self.penalty,
         )
-        by_route = self.copies[self.order]
-        self.aggregates[self.own_slots] = segment_sums(by_route, self.route_starts)
-        self.minima[self.own_slots] = segment_mins(by_route, self.route_starts)
+        self.aggregates[self.own_slots] = sums
+        self.minima[self.own_slots] = mins
         return [
             PeerMessage(round_index, self.domain, q, routes, self.aggregates[slots], self.minima[slots])
             for q, (routes, slots) in self.outbox.items()
@@ -198,7 +185,7 @@ def build_controllers(
         groups = np.nonzero(local[group_route])[0]
         slot_route = group_route[groups]
         slot_domain = group_domain[groups]
-        part_starts = np.nonzero(np.diff(slot_route, prepend=-1))[0]
+        slot_starts = np.nonzero(np.diff(slot_route, prepend=-1))[0]
         outbox: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         inbox: dict[int, np.ndarray] = {}
         own_slots = np.nonzero(slot_domain == p)[0]
@@ -213,19 +200,18 @@ def build_controllers(
                 penalty=penalty,
                 routes=routes,
                 weights=objective.weights[routes],
-                divisors=index.route_divisor[routes],
                 links=links,
                 link_starts=link_starts,
                 copies=base.link_values[copy_index],
                 duals=np.zeros(copy_index.size),
                 copy_index=copy_index,
-                copy_route=copy_route,
-                projector=BatchedLinkProjector(link_starts, instance.capacities[links]),
-                order=order,
-                route_starts=route_starts,
+                layout=RoundLayout(
+                    slot_starts=slot_starts, divisor=index.layout.divisor[routes], copy_route=copy_route,
+                    projector=BatchedLinkProjector(link_starts, instance.capacities[links]),
+                    order=order, group_starts=route_starts,
+                ),
                 aggregates=base.sent_values[groups],
                 minima=base.sent_mins[groups],
-                part_starts=part_starts,
                 own_slots=own_slots,
                 outbox=outbox,
                 inbox=inbox,
@@ -294,8 +280,9 @@ def inject_weight_update(controllers: list[ControllerNode], weights: np.ndarray)
         node.weights = w[node.routes]
 
 
-def _gather_replicas(controllers: list[ControllerNode], n_routes: int, attr: str) -> np.ndarray:
-    """Per-route values of ``attr`` over all holders, raising on a bitwise mismatch."""
+def gather_route_replicas(controllers: list[ControllerNode], n_routes: int, attr: str) -> np.ndarray:
+    """Collect a replicated per-route array (feasible / consensus / route_values /
+    route_duals), raising if any two domains disagree bitwise."""
     out = np.full(n_routes, np.nan)
     for node in controllers:
         arr = getattr(node, attr)
@@ -310,16 +297,10 @@ def _gather_replicas(controllers: list[ControllerNode], n_routes: int, attr: str
 
 def gather_allocation(controllers: list[ControllerNode], n_routes: int) -> np.ndarray:
     """Collect the enforced allocation, checking replicas agree exactly."""
-    out = _gather_replicas(controllers, n_routes, "feasible")
+    out = gather_route_replicas(controllers, n_routes, "feasible")
     if np.any(np.isnan(out)):
         raise SimulationError("some route is held by no controller")
     return out
-
-
-def gather_route_replicas(controllers: list[ControllerNode], n_routes: int, attr: str) -> np.ndarray:
-    """Collect a replicated per-route array (consensus / route_values / route_duals),
-    raising if any two domains disagree bitwise."""
-    return _gather_replicas(controllers, n_routes, attr)
 
 
 def gather_link_values(controllers: list[ControllerNode], instance: Instance) -> np.ndarray:
@@ -357,10 +338,9 @@ def measure_overhead(
     meter = OverheadMeter()
     for k in range(rounds):
         run_round(controllers, round_index=k, meter=meter)
-    index = ConsensusIndex(instance, partition)
     return OverheadReport(
         rounds=rounds,
-        floats_per_round=index.floats_per_round,
+        floats_per_round=wire_floats_per_round(partition),
         total_floats=meter.total_floats,
         per_pair=dict(meter.per_pair),
     )

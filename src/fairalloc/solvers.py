@@ -25,11 +25,11 @@ allocation from one ``link_loads`` pass and tests whether to stop.  A new
 penalty, at a warm-start handoff or from the adaptive rule, is installed by
 one helper that rescales the duals.
 
-Bit-reproducibility: every order-sensitive reduction goes through
-``numerics.segment_sums``/``canonical_sum`` on copies ordered by
-(route, domain, link).  Running one round here and one synchronous round of
-the message-passing simulator from the same state yields bit-identical
-values, because both reduce identical operand sequences with identical trees.
+Bit-reproducibility: an fd-admm round's arithmetic is one kernel,
+:func:`consensus_round`, over a :class:`RoundLayout`.  ``fdadmm_round`` runs
+it on the whole instance and each simulated domain controller on its own
+domain; its sums go through ``numerics.segment_sums`` (one fixed tree per
+segment) on copies ordered by (route, domain, link), so both yield the same bits.
 """
 
 from __future__ import annotations
@@ -95,13 +95,62 @@ class SolverConfig:
             raise SolverError("time_budget must be > 0 or None")
 
 
+def wire_floats_per_round(partition: Partition) -> int:
+    """Floats fd-admm puts on the wire per round, ``2 * sum_r h_r (h_r - 1)``:
+    each of the ``h_r`` domains holding route ``r`` sends 2 floats to every
+    other holder."""
+    holders = np.array([len(ds) - 1 for ds in partition.domains_of_route])
+    return int(2 * np.sum(holders * (holders - 1)))
+
+
+class RoundLayout(NamedTuple):
+    """Where one fd-admm round reads and writes, over flat arrays of routes,
+    holder slots and link copies; the whole instance and one domain
+    controller's share of it have one each."""
+
+    slot_starts: np.ndarray  # per route: its segment of the holder slots
+    divisor: np.ndarray  # per route: its link count plus one
+    copy_route: np.ndarray  # per link copy: the position of its route
+    projector: BatchedLinkProjector  # over the link copies
+    order: np.ndarray  # the copies of the written groups, group by group
+    group_starts: np.ndarray  # per written group: its segment of ``order``
+
+
+def group_reductions(layout: RoundLayout, copies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sum and the minimum of each written group of ``copies``."""
+    by_group = copies[layout.order]
+    return segment_sums(by_group, layout.group_starts), segment_mins(by_group, layout.group_starts)
+
+
+def consensus_round(
+    layout: RoundLayout, slot_sums: np.ndarray, route_values: np.ndarray, copies: np.ndarray,
+    copy_duals: np.ndarray, route_duals: np.ndarray, alpha: float, weights: np.ndarray, lam: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One fd-admm round: average, dual step, project links, prox routes.
+
+    The node-local x, z and dual updates of general-form consensus ADMM
+    (Boyd et al., 2011, section 7.2); a route's consensus is its slot sums
+    plus its route-owned copy, over the divisor.  Updates ``copies``,
+    ``copy_duals`` and ``route_duals`` in place and returns the consensus,
+    the new route values, and each written group's sum and minimum.
+    """
+    consensus = (segment_sums(slot_sums, layout.slot_starts) + route_values) / layout.divisor
+    spread = consensus[layout.copy_route]
+    copy_duals += copies - spread
+    layout.projector.apply(spread - copy_duals, out=copies)
+    route_duals += route_values - consensus
+    new_route_values = prox_values(alpha, weights, consensus - route_duals, lam)
+    return (consensus, new_route_values, *group_reductions(layout, copies))
+
+
 class ConsensusIndex:
     """Precomputed layout for the link-by-link consensus iteration.
 
     Copies live in two orders: the incidence order (link, route) used for
     projection and loads, and a permutation sorted by (route, domain, link)
     whose contiguous segments are exactly the per-(route, domain) aggregation
-    groups a domain controller would transmit.
+    groups a domain controller would transmit.  ``layout`` is the
+    :class:`RoundLayout` of the whole instance.
     """
 
     def __init__(self, instance: Instance, partition: Partition):
@@ -134,12 +183,14 @@ class ConsensusIndex:
         if self.route_group_starts.size != self.n_routes:
             raise SolverError("every route must traverse at least one link")
         sizes = np.diff(np.append(self.route_starts_rd, self.n_copies))
-        self.route_divisor = (sizes + 1).astype(np.float64)
         self.bottlenecks = segment_mins(self.capacities[self.copy_link[self.perm_rd]], self.route_starts_rd)
-        self.projector = BatchedLinkProjector(self.link_starts, self.capacities)
-        # each domain holding a route sends 2 floats to every other holder
-        holders = np.array([len(ds) - 1 for ds in partition.domains_of_route])
-        self.floats_per_round = int(2 * np.sum(holders * (holders - 1)))
+        # the holder slots are the (route, domain) groups, and a round writes all of them
+        self.layout = RoundLayout(
+            slot_starts=self.route_group_starts, divisor=(sizes + 1).astype(np.float64),
+            copy_route=self.copy_route, projector=BatchedLinkProjector(self.link_starts, self.capacities),
+            order=self.perm_rd, group_starts=self.rd_starts,
+        )
+        self.floats_per_round = wire_floats_per_round(partition)
 
 
 @dataclass
@@ -185,9 +236,7 @@ def initial_state(index: ConsensusIndex, penalty: PenaltyState) -> FdState:
     the exactly feasible form of this start).
     """
     link_values = _equal_split_copies(index)
-    vals_rd = link_values[index.perm_rd]
-    sent_values = segment_sums(vals_rd, index.rd_starts)
-    sent_mins = segment_mins(vals_rd, index.rd_starts)
+    sent_values, sent_mins = group_reductions(index.layout, link_values)
     extract = segment_mins(sent_mins, index.route_group_starts)
     return FdState(
         index=index,
@@ -204,33 +253,23 @@ def initial_state(index: ConsensusIndex, penalty: PenaltyState) -> FdState:
 
 
 def fdadmm_round(state: FdState, objective: FairnessObjective) -> FdState:
-    """One synchronous round: average, dual step, project links, prox route.
+    """One synchronous round of :func:`consensus_round` on the whole instance,
+    then the residuals and the feasible extract.
 
     The averaging consumes the (route, domain) aggregates computed at the end
     of the previous round — exactly the payload a domain would have received
-    from its peers — so the vectorized loop and the message-passing execution
-    see identical operand orders.
+    from its peers.
     """
     idx = state.index
     lam = state.penalty.value
-    totals = segment_sums(state.sent_values, idx.route_group_starts)
-    consensus = (totals + state.route_values) / idx.route_divisor
+    consensus, state.route_values, state.sent_values, state.sent_mins = consensus_round(
+        idx.layout, state.sent_values, state.route_values, state.link_values, state.link_duals,
+        state.route_duals, objective.alpha, objective.weights, lam,
+    )
     # dual residual carries the penalty weight 1/lam (the multiplier change is
     # (z_new - z_old)/lam); without it a tiny lam reports convergence while
     # the iterate is still far from the optimum
     dual_res = float(np.max(np.abs(consensus - state.consensus))) / lam if consensus.size else 0.0
-
-    spread = consensus[idx.copy_route]
-    state.link_duals += state.link_values - spread
-    idx.projector.apply(spread - state.link_duals, out=state.link_values)
-    state.route_duals += state.route_values - consensus
-    state.route_values = prox_values(
-        objective.alpha, objective.weights, consensus - state.route_duals, lam
-    )
-
-    vals_rd = state.link_values[idx.perm_rd]
-    state.sent_values = segment_sums(vals_rd, idx.rd_starts)
-    state.sent_mins = segment_mins(vals_rd, idx.rd_starts)
     state.extract = segment_mins(state.sent_mins, idx.route_group_starts)
     # consensus disagreement over every copy of every route: the per-link
     # copies and the prox copy (dropping the latter can report convergence

@@ -117,6 +117,36 @@ def project_oracle(y: np.ndarray, cap: float, tol: float = 1e-9) -> np.ndarray:
     return best
 
 
+def sort_threshold_projection(values: np.ndarray, cap: float) -> np.ndarray:
+    """Project one link's copies onto ``{x >= 0, sum(x) <= cap}`` by sort-and-threshold.
+
+    When the clipped point already fits under the cap it is returned as is;
+    otherwise the threshold ``theta`` comes from the descending prefix sums,
+    and any rounding excess left by ``max(y - theta, 0)`` is taken off the
+    first maximum until the sum, reduced as ``np.add.reduceat`` over one
+    segment, is at most ``cap``.  The package's batched projector must match
+    this bit for bit.
+    """
+    y = np.asarray(values, dtype=np.float64)
+    x = np.maximum(y, 0.0)
+    if np.add.reduceat(x, [0])[0] <= cap:
+        return x
+    s = np.sort(y)[::-1]
+    csum = np.cumsum(s)
+    ranks = np.arange(1, y.size + 1, dtype=np.float64)
+    positive = s - (csum - cap) / ranks > 0
+    k = y.size - 1 - int(np.argmax(positive[::-1]))
+    theta = (csum[k] - cap) / (k + 1.0)
+    x = np.maximum(y - theta, 0.0)
+    for _ in range(64):
+        total = np.add.reduceat(x, [0])[0]
+        if total <= cap:
+            return x
+        i = int(np.argmax(x))
+        x[i] = max(x[i] - (total - cap), 0.0)
+    raise ValueError("could not repair rounding excess")
+
+
 def _feasible_mask(instance, grid: np.ndarray) -> np.ndarray:
     """Row mask of grid points satisfying every link capacity."""
     ok = np.ones(grid.shape[0], dtype=bool)

@@ -15,7 +15,6 @@ from fairalloc.fairness import (
     default_objective,
     moduli,
     optimal_lambda,
-    prox,
     prox_values,
     utility,
 )
@@ -92,7 +91,7 @@ def test_prox_scalar_matches_batch_bitwise():
     v = np.array([-2.0, 0.7, 31.0])
     batch = prox_values(o.alpha, o.weights, v, 0.9)
     for r in range(3):
-        assert prox(o, r, v[r], 0.9) == batch[r]
+        assert prox_values(o.alpha, o.weights[r : r + 1], v[r : r + 1], 0.9)[0] == batch[r]
 
 
 def test_prox_validates():

@@ -15,7 +15,7 @@ from fairalloc.projections import (
     project_polyhedron,
 )
 
-from oracles import project_oracle, sequential_dykstra
+from oracles import project_oracle, sequential_dykstra, sort_threshold_projection
 
 finite_vec = hnp.arrays(
     np.float64,
@@ -116,9 +116,10 @@ def test_batched_matches_single_bitwise():
             s, e = link_starts[j], link_starts[j + 1]
             if s == e:
                 continue
-            single = project_capped_simplex(flat[s:e], capacities[j])
+            single = sort_threshold_projection(flat[s:e], capacities[j])
             assert np.array_equal(out[s:e], single), f"link {j} diverged"
-    # a non-finite copy: both projectors raise instead of passing it through
+    # a non-finite copy: the batched projector and its one-link public call
+    # raise instead of passing it through
     for bad in (np.nan, np.inf):
         flat = np.array([bad, 5.0])
         with np.errstate(invalid="ignore"), pytest.raises(ProjectionError):
@@ -204,7 +205,7 @@ def test_dykstra_matches_sequential_oracle_bitwise():
         y = rng.uniform(-2.0, 8.0, size=inst.n_routes)
         tol = (1e-9, 1e-10)[s % 2]
         got = project_polyhedron(inst, y, tolerance=tol)
-        want, _ = sequential_dykstra(inst, y, order, project_capped_simplex, tolerance=tol, cycles=100_000)
+        want, _ = sequential_dykstra(inst, y, order, sort_threshold_projection, tolerance=tol, cycles=100_000)
         assert np.array_equal(got, want), f"case {s} diverged"
 
 
@@ -225,6 +226,6 @@ def test_dykstra_accurate_on_cadmm_points(monkeypatch):
     monkeypatch.undo()
     links = sorted({j for r in inst.routes for j in r.links})
     for i, y in enumerate(points):
-        reference, _ = sequential_dykstra(inst, y, links, project_capped_simplex, cycles=3000)
+        reference, _ = sequential_dykstra(inst, y, links, sort_threshold_projection, cycles=3000)
         got = project_polyhedron(inst, y, tolerance=solvers.DYKSTRA_TOL)
         assert np.max(np.abs(got - reference)) <= 1e-9, f"point {i}"

@@ -34,23 +34,24 @@ def make_setup(seed=11, domains=4, alpha=2.0, penalty=0.8, n_routes=30):
 
 
 def test_matches_vectorized_solver_bitwise():
-    """50 rounds of message passing reproduce the vectorized iteration exactly;
-    the enforced allocation lags the extract by the one round a message is in
-    flight."""
-    inst, part, obj, idx, state, nodes = make_setup()
-    prev_extract = state.extract.copy()
-    for k in range(50):
-        fdadmm_round(state, obj)
-        run_round(nodes, k)
-        assert np.array_equal(gather_allocation(nodes, inst.n_routes), prev_extract)
-        assert np.array_equal(
-            gather_route_replicas(nodes, inst.n_routes, "consensus"), state.consensus
-        )
-        assert np.array_equal(
-            gather_route_replicas(nodes, inst.n_routes, "route_values"), state.route_values
-        )
-        assert np.array_equal(gather_link_values(nodes, inst), state.link_values)
-        prev_extract = state.extract.copy()
+    """40 rounds of message passing reproduce the vectorized iteration exactly
+    on every prox branch (the closed form at alpha 0, Newton at 0.5 and 2)
+    over one, four and nine domains; the enforced allocation lags the
+    extract by the one round a message is in flight."""
+    for alpha in (0.0, 0.5, 2.0):
+        for domains in (1, 4, 9):
+            inst, part, obj, idx, state, nodes = make_setup(domains=domains, alpha=alpha)
+            prev_extract = state.extract.copy()
+            for k in range(40):
+                fdadmm_round(state, obj)
+                run_round(nodes, k)
+                assert np.array_equal(gather_allocation(nodes, inst.n_routes), prev_extract)
+                for attr in ("consensus", "route_values", "route_duals"):
+                    assert np.array_equal(
+                        gather_route_replicas(nodes, inst.n_routes, attr), getattr(state, attr)
+                    ), (alpha, domains, k, attr)
+                assert np.array_equal(gather_link_values(nodes, inst), state.link_values)
+                prev_extract = state.extract.copy()
 
 
 def test_matches_vectorized_solver_log_utility_many_domains():
@@ -92,6 +93,21 @@ def test_overhead_measured_equals_predicted():
     # pair symmetry: p->q and q->p carry the same number of floats
     for (p, q), n in report.per_pair.items():
         assert report.per_pair[(q, p)] == n
+
+
+def test_measure_overhead_builds_one_index(monkeypatch):
+    from fairalloc import simulator
+
+    inst, part, obj, idx, state, nodes = make_setup(seed=9, domains=4)
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return ConsensusIndex(*args)
+
+    monkeypatch.setattr(simulator, "ConsensusIndex", counted)
+    measure_overhead(inst, part, obj, penalty=0.8, rounds=2)
+    assert len(builds) == 1
 
 
 def test_single_domain_sends_nothing():
