@@ -12,9 +12,10 @@ group, then one over everything.  The fd-admm group holds fd-admm's own
 solves and every reference (``reference_solution`` and the per-event
 references of ``run_dynamic``, which fd-admm solves); the c-admm and lagr
 groups hold those algorithms' solves and ``run_dynamic`` traces.  The
-``simulator`` group runs the message-passing simulator for 20 rounds on two
-instances, one with a weight update injected after round 10 and one whose
-partition gives every untraversed link to a domain that holds no route; it
+``simulator`` group runs the message-passing simulator for 20 rounds on three
+cases: one with a weight update injected after round 10, one whose
+partition gives every untraversed link to a domain that holds no route, and
+a balanced partition into 16 domains of one or two links each; it
 hashes the exported message-log CSV, the meter's per-pair and per-round
 counts, and the gathered link copies, enforced allocation and route
 replicas.  Two versions of the package that print the same digest for a
@@ -130,6 +131,7 @@ def simulator_entries(workdir: Path):
     cases = [
         ("weights", first, build_partition(first, balanced_assignment(first, 4)), 10),
         ("routeless", second, _routeless_partition(second, 3), None),
+        ("domains16", first, build_partition(first, balanced_assignment(first, 16)), None),
     ]
     for name, inst, part, update_at in cases:
         controllers = build_controllers(inst, part, default_objective(inst), penalty=0.8)

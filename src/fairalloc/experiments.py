@@ -132,7 +132,6 @@ def run_dynamic(
         tol_primal=0.0,
         tol_dual=0.0,
         max_iters=scenario.iters_per_event,
-        record_trace=True,
         record_allocations=algorithm == "lagr",
         time_budget=None,
     )
@@ -149,7 +148,6 @@ def run_dynamic(
     served = equal_split_extract(instance) if anytime else None
 
     state = None
-    ref_state = None
     for t in range(1, scenario.n_events + 1):
         # each event perturbs the *base* weights, not the previous draw: a
         # chained multiplicative walk drifts toward zero and by high
@@ -160,17 +158,12 @@ def run_dynamic(
 
         ref_alloc = cache.get(t, weights)
         if ref_alloc is None:
+            # the reference chain warm-starts from the event before, solved or cached
             ref_result = reference_solution(
-                instance,
-                objective=objective_t,
-                warm_state=ref_state if ref_state is not None else cache.state_before(t),
-                return_result=True,
+                instance, objective=objective_t, warm_state=cache.state_before(t), return_result=True
             )
             ref_alloc = ref_result.allocation
-            ref_state = ref_result.state
-            cache.put(t, weights, ref_alloc, ref_state)
-        else:
-            ref_state = None  # cache hit: next miss warm-starts from the cached chain
+            cache.put(t, weights, ref_alloc, ref_result.state)
         references.append(ref_alloc)
 
         result = solve(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Instance
+from .model import Instance, route_minima
 from .numerics import canonical_sum
 
 
@@ -189,8 +189,7 @@ class PenaltyState:
 
 def bottleneck_capacities(instance: Instance) -> np.ndarray:
     """Per-route bottleneck ``B_r = min_{j in r} C_j``."""
-    caps = instance.capacities
-    return np.array([min(caps[j] for j in route.links) for route in instance.routes])
+    return route_minima(instance, instance.capacities[instance.incidence.copy_link])
 
 
 def _moduli_arrays(alpha: float, weights: np.ndarray, bottlenecks: np.ndarray, floor: np.ndarray) -> Moduli:

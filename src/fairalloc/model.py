@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .numerics import segment_mins, segment_sums
+from .numerics import segment_sums
 
 
 class ModelError(ValueError):
@@ -56,6 +56,17 @@ class Incidence:
     def members(self, link: int) -> np.ndarray:
         lo, hi = self.link_starts[link], self.link_starts[link + 1]
         return self.copy_route[lo:hi]
+
+    def link_copies(self, links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The incidence positions of the copies of ``links`` (ascending),
+        link by link, and where each link's copies start among them, with
+        the copy count last: ``link_starts`` of that selection."""
+        links = np.asarray(links, dtype=np.intp)
+        chosen = np.zeros(self.link_starts.size - 1, dtype=bool)
+        chosen[links] = True
+        starts = np.zeros(links.size + 1, dtype=np.intp)
+        np.cumsum(self.link_starts[links + 1] - self.link_starts[links], out=starts[1:])
+        return np.flatnonzero(chosen[self.copy_link]), starts
 
 
 @dataclass(frozen=True)
@@ -171,6 +182,15 @@ def link_loads(instance: Instance, allocation: np.ndarray) -> np.ndarray:
     return loads
 
 
+def route_minima(instance: Instance, per_copy: np.ndarray) -> np.ndarray:
+    """Each route's minimum of ``per_copy`` (one value per incidence copy)
+    over its links; ``inf`` for a route with no link.  A minimum is exact,
+    so the result does not depend on the order the copies are visited in."""
+    minima = np.full(instance.n_routes, np.inf)
+    np.minimum.at(minima, instance.incidence.copy_route, per_copy)
+    return minima
+
+
 def carried_rates(instance: Instance, offered: np.ndarray) -> np.ndarray:
     """Rates the network delivers when ``offered`` is installed as-is.
 
@@ -184,16 +204,8 @@ def carried_rates(instance: Instance, offered: np.ndarray) -> np.ndarray:
     caps = instance.capacities
     with np.errstate(divide="ignore", invalid="ignore"):
         grant = np.where(loads > caps, caps / loads, 1.0)
-    inc = instance.incidence
-    if inc.n_copies == 0:
-        return x.copy()
-    order = np.argsort(inc.copy_route, kind="stable")
-    counts = np.bincount(inc.copy_route, minlength=instance.n_routes)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    factor = np.ones(instance.n_routes, dtype=np.float64)
-    nonempty = counts > 0
-    factor[nonempty] = segment_mins(grant[inc.copy_link[order]], starts[nonempty])
-    return x * factor
+    # a grant is at most 1, so a route with no link keeps its rate
+    return x * np.minimum(route_minima(instance, grant[instance.incidence.copy_link]), 1.0)
 
 
 def is_feasible(instance: Instance, allocation: np.ndarray) -> bool:

@@ -205,18 +205,16 @@ def project_polyhedron(
         raise ProjectionError(f"point has shape {y.shape}, expected ({instance.n_routes},)")
     if not np.all(np.isfinite(y)):
         raise ProjectionError("point must be finite")
-    # every class gets its own stretch of one flat copy layout; within a class
-    # the routes are distinct, so gathering and scattering them is collision-free
-    caps = instance.capacities
+    # each class's copies are one stretch of the flat correction terms; within
+    # a class the routes are distinct, so gathering and scattering is collision-free
     classes = []
     offset = 0
     for links in link_colour_classes(instance):
-        lo, hi = inc.link_starts[links], inc.link_starts[links + 1]
-        routes = np.concatenate([inc.copy_route[a:b] for a, b in zip(lo, hi)])
-        starts = np.concatenate(([0], np.cumsum(hi - lo)))
-        stretch = slice(offset, offset + routes.size)
-        classes.append((BatchedLinkProjector(starts, caps[links]), stretch, routes))
-        offset += routes.size
+        copies, starts = inc.link_copies(links)
+        stretch = slice(offset, offset + copies.size)
+        projector = BatchedLinkProjector(starts, instance.capacities[links])
+        classes.append((projector, stretch, inc.copy_route[copies]))
+        offset += copies.size
     x = y.copy()
     corrections = np.zeros(offset)
     orthant_correction = np.zeros_like(x)

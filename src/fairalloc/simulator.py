@@ -5,15 +5,17 @@ replicas of the route-owned variables for every route crossing it.  Rounds
 are synchronous: every node computes from the messages of the previous
 round, then all new messages are delivered at once.
 
-Node layout.  A node keeps its link copies in one flat array ``copies`` in
-incidence order (links ascending, member routes ascending) with the duals in
-a parallel array; ``link_values[j]`` and ``link_duals[j]`` are views into
-them.  Each local route has one slot per holder domain, self included, in
-ascending domain order, in two arrays: ``aggregates`` (a holder's sum over
-its copies of the route) and ``minima`` (a holder's minimum over them).  The
-node's :class:`~fairalloc.solvers.RoundLayout` describes these arrays.  A
-round takes the enforced allocation as the per-route minimum over the
-slots, runs the solver's round kernel
+Node layout.  A node's :class:`~fairalloc.solvers.RoundLayout` is
+``ConsensusIndex.round_layout`` of its domain's links, the function that
+also lays out every link for the vectorized solver.  The node keeps its link
+copies in one flat array ``copies`` in incidence order (links ascending,
+member routes ascending) with the duals in a parallel array;
+``link_values[j]`` and ``link_duals[j]`` are views into them.  Each local
+route has one slot per holder domain, self included, in ascending domain
+order (the solver's (route, domain) groups), in two arrays: ``aggregates``
+(a holder's sum over its copies of the route) and ``minima`` (a holder's
+minimum over them).  A round takes the enforced allocation as the per-route
+minimum over the slots, runs the solver's round kernel
 :func:`~fairalloc.solvers.consensus_round` on the node's arrays, and writes
 the node's new sum and minimum, over its copies in (route, link) order, into
 its own slots.
@@ -26,11 +28,11 @@ floats per shared route per peer per round.  :class:`RouteMessage` is the
 per-route row of the optional message log.
 
 Arithmetic matches the vectorized solver bit for bit, because both run the
-same kernel, each slot holds the operand the solver sums in the same place,
-and every step of the kernel treats each segment, link and route on its own.
-The only schedule difference is that a controller applies the enforced
-feasible minimum one round after the solver's eager extract, because the
-peer minima travel inside messages.
+same kernel on layouts from the same function, each slot holds the operand
+the solver sums in the same place, and every step of the kernel treats each
+segment, link and route on its own.  The only schedule difference is that a
+controller applies the enforced feasible minimum one round after the
+solver's eager extract, because the peer minima travel inside messages.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import numpy as np
 from .fairness import FairnessObjective, PenaltyState, prox_values  # noqa: F401
 from .model import Instance, Partition
 from .numerics import segment_mins
-from .projections import BatchedLinkProjector
 from .solvers import ConsensusIndex, RoundLayout, consensus_round, initial_state, wire_floats_per_round
 from .trace import format_value
 
@@ -100,14 +101,11 @@ class ControllerNode:
     domain: int
     alpha: float
     penalty: float
-    routes: np.ndarray            # routes crossing this domain, ascending
-    weights: np.ndarray           # their weights, same order
+    layout: RoundLayout           # of the owned links; its ``routes`` cross this domain
+    weights: np.ndarray           # of ``layout.routes``, same order
     links: list[int]              # owned links, ascending
-    link_starts: np.ndarray       # offsets of each owned link's copies, len(links) + 1
     copies: np.ndarray            # owned link copies, incidence order
     duals: np.ndarray             # their duals, same order
-    copy_index: np.ndarray        # incidence position of each copy
-    layout: RoundLayout           # over ``routes``, the slots and ``copies``
     aggregates: np.ndarray        # per (local route, holder domain ascending)
     minima: np.ndarray            # same slots as ``aggregates``
     own_slots: np.ndarray         # per local route: this domain's slot
@@ -121,13 +119,13 @@ class ControllerNode:
     link_duals: dict[int, np.ndarray] = field(init=False)   # views into ``duals``
 
     def __post_init__(self):
-        bounds = list(zip(self.links, self.link_starts[:-1], self.link_starts[1:]))
+        bounds = list(zip(self.links, self.layout.link_starts[:-1], self.layout.link_starts[1:]))
         self.link_values = {j: self.copies[lo:hi] for j, lo, hi in bounds}
         self.link_duals = {j: self.duals[lo:hi] for j, lo, hi in bounds}
 
     def compute_round(self, round_index: int) -> list[PeerMessage]:
         """Lines of one synchronous round; returns one message per peer."""
-        if not self.routes.size:
+        if not self.layout.routes.size:
             return []
         self.feasible = segment_mins(self.minima, self.layout.slot_starts)
         self.consensus, self.route_values, sums, mins = consensus_round(
@@ -162,63 +160,35 @@ def build_controllers(
         )
     index = ConsensusIndex(instance, partition)
     base = initial_state(index, PenaltyState(value=penalty, frozen=True))
-    inc = instance.incidence
-    domain_of_copy = np.asarray(partition.domain_of_link, dtype=np.intp)[inc.copy_link]
-    # the solver's (route, domain) aggregation groups are the holder slots
-    group_copies = index.perm_rd[index.rd_starts]
-    group_route = inc.copy_route[group_copies]
-    group_domain = domain_of_copy[group_copies]
-    rd_domain = domain_of_copy[index.perm_rd]
-    link_sizes = np.diff(inc.link_starts)
+    own_slot_of_route = np.zeros(instance.n_routes, dtype=np.intp)
     nodes: list[ControllerNode] = []
     for p in range(1, partition.n_domains + 1):
-        routes = np.array(partition.routes_by_domain[p], dtype=np.intp)
-        links = list(partition.links_by_domain[p])
-        copy_index = np.nonzero(domain_of_copy == p)[0]
-        link_starts = np.concatenate(([0], np.cumsum(link_sizes[links])))
-        copy_route = np.searchsorted(routes, inc.copy_route[copy_index])
-        # this domain's copies in (route, link) order, as the solver groups them
-        order = np.searchsorted(copy_index, index.perm_rd[rd_domain == p])
-        route_starts = np.nonzero(np.diff(copy_route[order], prepend=-1))[0]
-        local = np.zeros(instance.n_routes, dtype=bool)
-        local[routes] = True
-        groups = np.nonzero(local[group_route])[0]
-        slot_route = group_route[groups]
-        slot_domain = group_domain[groups]
-        slot_starts = np.nonzero(np.diff(slot_route, prepend=-1))[0]
-        outbox: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        inbox: dict[int, np.ndarray] = {}
+        layout = index.round_layout(np.array(partition.links_by_domain[p], dtype=np.intp))
+        slot_route = index.group_route[layout.slots]
+        slot_domain = index.group_domain[layout.slots]
         own_slots = np.nonzero(slot_domain == p)[0]
-        for q in sorted(set(slot_domain.tolist()) - {p}):
-            inbox[q] = np.nonzero(slot_domain == q)[0]
-            shared = slot_route[inbox[q]]
-            outbox[q] = (shared, own_slots[np.searchsorted(routes, shared)])
+        own_slot_of_route[slot_route[own_slots]] = own_slots
+        inbox = {q: np.nonzero(slot_domain == q)[0] for q in sorted(set(slot_domain.tolist()) - {p})}
+        outbox = {q: (slot_route[s], own_slot_of_route[slot_route[s]]) for q, s in inbox.items()}
         nodes.append(
             ControllerNode(
                 domain=p,
                 alpha=objective.alpha,
                 penalty=penalty,
-                routes=routes,
-                weights=objective.weights[routes],
-                links=links,
-                link_starts=link_starts,
-                copies=base.link_values[copy_index],
-                duals=np.zeros(copy_index.size),
-                copy_index=copy_index,
-                layout=RoundLayout(
-                    slot_starts=slot_starts, divisor=index.layout.divisor[routes], copy_route=copy_route,
-                    projector=BatchedLinkProjector(link_starts, instance.capacities[links]),
-                    order=order, group_starts=route_starts,
-                ),
-                aggregates=base.sent_values[groups],
-                minima=base.sent_mins[groups],
+                layout=layout,
+                weights=objective.weights[layout.routes],
+                links=list(partition.links_by_domain[p]),
+                copies=base.link_values[layout.copies],
+                duals=np.zeros(layout.copies.size),
+                aggregates=base.sent_values[layout.slots],
+                minima=base.sent_mins[layout.slots],
                 own_slots=own_slots,
                 outbox=outbox,
                 inbox=inbox,
-                route_values=base.route_values[routes],
-                route_duals=np.zeros(routes.size),
-                consensus=base.consensus[routes],
-                feasible=base.extract[routes],
+                route_values=base.route_values[layout.routes],
+                route_duals=np.zeros(layout.routes.size),
+                consensus=base.consensus[layout.routes],
+                feasible=base.extract[layout.routes],
             )
         )
     return nodes
@@ -275,9 +245,9 @@ def inject_weight_update(controllers: list[ControllerNode], weights: np.ndarray)
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise SimulationError("weights must be positive and finite")
     for node in controllers:
-        if node.routes.size and int(node.routes.max()) >= w.size:
+        if node.layout.routes.size and int(node.layout.routes.max()) >= w.size:
             raise SimulationError("weight vector shorter than the highest route id")
-        node.weights = w[node.routes]
+        node.weights = w[node.layout.routes]
 
 
 def gather_route_replicas(controllers: list[ControllerNode], n_routes: int, attr: str) -> np.ndarray:
@@ -286,12 +256,12 @@ def gather_route_replicas(controllers: list[ControllerNode], n_routes: int, attr
     out = np.full(n_routes, np.nan)
     for node in controllers:
         arr = getattr(node, attr)
-        held = out[node.routes]
+        held = out[node.layout.routes]
         diverged = ~np.isnan(held) & (held != arr)
         if diverged.any():
-            r = int(node.routes[np.argmax(diverged)])
+            r = int(node.layout.routes[np.argmax(diverged)])
             raise SimulationError(f"route {r}: {attr} replicas diverged")
-        out[node.routes] = arr
+        out[node.layout.routes] = arr
     return out
 
 
@@ -307,7 +277,7 @@ def gather_link_values(controllers: list[ControllerNode], instance: Instance) ->
     """Flatten per-link copies back into the instance's incidence layout."""
     flat = np.full(instance.incidence.n_copies, np.nan)
     for node in controllers:
-        flat[node.copy_index] = node.copies
+        flat[node.layout.copies] = node.copies
     if np.any(np.isnan(flat)):
         raise SimulationError("some link is owned by no controller")
     return flat

@@ -26,16 +26,18 @@ penalty, at a warm-start handoff or from the adaptive rule, is installed by
 one helper that rescales the duals.
 
 Bit-reproducibility: an fd-admm round's arithmetic is one kernel,
-:func:`consensus_round`, over a :class:`RoundLayout`.  ``fdadmm_round`` runs
-it on the whole instance and each simulated domain controller on its own
-domain; its sums go through ``numerics.segment_sums`` (one fixed tree per
-segment) on copies ordered by (route, domain, link), so both yield the same bits.
+:func:`consensus_round`, over a :class:`RoundLayout` from
+:meth:`ConsensusIndex.round_layout`: ``fdadmm_round`` runs it on every link,
+each simulated domain controller on its domain's links.  Its sums go through
+``numerics.segment_sums`` (one fixed tree per segment) on copies ordered by
+(route, domain, link), so both yield the same bits.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,11 +46,12 @@ from .fairness import (
     FairnessObjective,
     PenaltyState,
     adapt_penalty,
+    bottleneck_capacities,
     default_objective,
     prox_values,
     utility,
 )
-from .model import Instance, Partition, link_loads, single_domain
+from .model import Instance, Partition, link_loads, route_minima, single_domain
 from .numerics import segment_mins, segment_sums
 from .projections import BatchedLinkProjector, project_polyhedron
 from .trace import TraceRow, overloaded_percentage, relative_gap
@@ -76,7 +79,6 @@ class SolverConfig:
     tol_dual: float = 1e-6
     max_iters: int = 100_000
     time_budget: float | None = None
-    record_trace: bool = True
     record_allocations: bool = False
 
     def __post_init__(self):
@@ -99,14 +101,13 @@ def wire_floats_per_round(partition: Partition) -> int:
     """Floats fd-admm puts on the wire per round, ``2 * sum_r h_r (h_r - 1)``:
     each of the ``h_r`` domains holding route ``r`` sends 2 floats to every
     other holder."""
-    holders = np.array([len(ds) - 1 for ds in partition.domains_of_route])
-    return int(2 * np.sum(holders * (holders - 1)))
+    return 2 * sum((len(ds) - 1) * (len(ds) - 2) for ds in partition.domains_of_route)
 
 
 class RoundLayout(NamedTuple):
     """Where one fd-admm round reads and writes, over flat arrays of routes,
-    holder slots and link copies; the whole instance and one domain
-    controller's share of it have one each."""
+    holder slots and link copies, and which of the instance's routes, slots
+    and copies those are; built by :meth:`ConsensusIndex.round_layout`."""
 
     slot_starts: np.ndarray  # per route: its segment of the holder slots
     divisor: np.ndarray  # per route: its link count plus one
@@ -114,6 +115,10 @@ class RoundLayout(NamedTuple):
     projector: BatchedLinkProjector  # over the link copies
     order: np.ndarray  # the copies of the written groups, group by group
     group_starts: np.ndarray  # per written group: its segment of ``order``
+    routes: np.ndarray  # per route: its id
+    slots: np.ndarray  # per holder slot: its (route, domain) group
+    copies: np.ndarray  # per link copy: its incidence position
+    link_starts: np.ndarray  # per link: where its copies start, then the copy count
 
 
 def group_reductions(layout: RoundLayout, copies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,50 +152,75 @@ class ConsensusIndex:
     """Precomputed layout for the link-by-link consensus iteration.
 
     Copies live in two orders: the incidence order (link, route) used for
-    projection and loads, and a permutation sorted by (route, domain, link)
-    whose contiguous segments are exactly the per-(route, domain) aggregation
-    groups a domain controller would transmit.  ``layout`` is the
-    :class:`RoundLayout` of the whole instance.
+    projection and loads, and a permutation ``perm_rd`` sorted by (route,
+    domain, link) whose contiguous segments are the (route, domain) groups a
+    domain controller transmits; the group table holds where each opens,
+    its route and its domain.  :meth:`round_layout` reads the layout of any
+    domains' links from it; ``layout``, the one of every link, is built at
+    first use, as c-admm and lagr never read it.
     """
 
     def __init__(self, instance: Instance, partition: Partition):
         inc = instance.incidence
         self.instance = instance
         self.n_routes = instance.n_routes
-        self.n_links = instance.n_links
-        self.capacities = instance.capacities
         self.copy_route = inc.copy_route
         self.copy_link = inc.copy_link
-        self.link_starts = inc.link_starts
         self.n_copies = inc.n_copies
 
-        domain_arr = np.asarray(partition.domain_of_link, dtype=np.intp)
-        domain_of_copy = domain_arr[self.copy_link] if self.n_copies else np.zeros(0, dtype=np.intp)
-        # primary sort key route, then domain, then link: contiguous (r, p) groups
-        self.perm_rd = np.lexsort((self.copy_link, domain_of_copy, self.copy_route))
-        route_rd = self.copy_route[self.perm_rd]
-        dom_rd = domain_of_copy[self.perm_rd]
-        new_group = np.ones(self.n_copies, dtype=bool)
-        new_group[1:] = (route_rd[1:] != route_rd[:-1]) | (dom_rd[1:] != dom_rd[:-1])
-        self.rd_starts = np.nonzero(new_group)[0]
-        group_route = route_rd[self.rd_starts]
-        new_route_group = np.ones(group_route.size, dtype=bool)
-        new_route_group[1:] = group_route[1:] != group_route[:-1]
-        self.route_group_starts = np.nonzero(new_route_group)[0]
-        new_route = np.ones(self.n_copies, dtype=bool)
-        new_route[1:] = route_rd[1:] != route_rd[:-1]
-        self.route_starts_rd = np.nonzero(new_route)[0]
-        if self.route_group_starts.size != self.n_routes:
+        link_count = np.bincount(self.copy_route, minlength=self.n_routes)
+        if not link_count.all():
             raise SolverError("every route must traverse at least one link")
-        sizes = np.diff(np.append(self.route_starts_rd, self.n_copies))
-        self.bottlenecks = segment_mins(self.capacities[self.copy_link[self.perm_rd]], self.route_starts_rd)
-        # the holder slots are the (route, domain) groups, and a round writes all of them
-        self.layout = RoundLayout(
-            slot_starts=self.route_group_starts, divisor=(sizes + 1).astype(np.float64),
-            copy_route=self.copy_route, projector=BatchedLinkProjector(self.link_starts, self.capacities),
-            order=self.perm_rd, group_starts=self.rd_starts,
-        )
+        self.divisor = link_count + 1.0
+        domain_of_copy = np.asarray(partition.domain_of_link, dtype=np.intp)[self.copy_link]
+        # primary sort key route, then domain; the incidence order keeps links ascending
+        self.perm_rd = np.lexsort((domain_of_copy, self.copy_route))
+        route_rd = self.copy_route[self.perm_rd]
+        domain_rd = domain_of_copy[self.perm_rd]
+        opens_route = np.ones(self.n_copies, dtype=bool)
+        opens_route[1:] = route_rd[1:] != route_rd[:-1]
+        self.route_starts_rd = np.nonzero(opens_route)[0]
+        # the group table: where each (route, domain) group opens in ``perm_rd``,
+        # then per group its route, its domain and whether it opens its route
+        self.opens_group = opens_route.copy()
+        self.opens_group[1:] |= domain_rd[1:] != domain_rd[:-1]
+        self.group_route = route_rd[self.opens_group]
+        self.group_domain = domain_rd[self.opens_group]
+        self.group_opens_route = opens_route[self.opens_group]
+        self.bottlenecks = bottleneck_capacities(instance)
         self.floats_per_round = wire_floats_per_round(partition)
+
+    @cached_property
+    def layout(self) -> RoundLayout:
+        return self.round_layout(np.arange(self.instance.n_links))
+
+    def round_layout(self, links: np.ndarray) -> RoundLayout:
+        """The :class:`RoundLayout` over the copies of ``links``, their routes
+        and their holder slots.
+
+        ``links`` ascend and hold all links of each domain they touch.  The
+        copies keep incidence order and the routes ascend; a route's slots
+        are all its (route, domain) groups, and the written groups are those
+        of the copies."""
+        copies, link_starts = self.instance.incidence.link_copies(links)
+        position = np.full(self.n_copies, -1)  # of each copy among ``copies``, -1 if not one
+        position[copies] = np.arange(copies.size)
+        holds_route = np.zeros(self.n_routes, dtype=bool)
+        holds_route[self.copy_route[copies]] = True
+        routes = np.nonzero(holds_route)[0]
+        route_position = np.empty(self.n_routes, dtype=np.intp)
+        route_position[routes] = np.arange(routes.size)
+        slots = np.nonzero(holds_route[self.group_route])[0]
+        by_group = position[self.perm_rd]
+        in_order = by_group >= 0
+        return RoundLayout(
+            slot_starts=np.nonzero(self.group_opens_route[slots])[0], divisor=self.divisor[routes],
+            copy_route=route_position[self.copy_route[copies]],
+            projector=BatchedLinkProjector(link_starts, self.instance.capacities[links]),
+            order=by_group[in_order],
+            group_starts=np.nonzero(self.opens_group[in_order])[0],
+            routes=routes, slots=slots, copies=copies, link_starts=link_starts,
+        )
 
 
 @dataclass
@@ -219,10 +249,11 @@ class FdState:
         return (self.link_duals, self.route_duals)
 
 
-def _equal_split_copies(index: ConsensusIndex) -> np.ndarray:
+def _equal_split_copies(instance: Instance) -> np.ndarray:
     """Per-link copies, incidence order: each link's capacity over its routes."""
-    sizes = np.diff(index.link_starts).astype(np.float64)
-    return index.capacities[index.copy_link] / sizes[index.copy_link]
+    inc = instance.incidence
+    sizes = np.diff(inc.link_starts).astype(np.float64)
+    return instance.capacities[inc.copy_link] / sizes[inc.copy_link]
 
 
 def initial_state(index: ConsensusIndex, penalty: PenaltyState) -> FdState:
@@ -235,9 +266,9 @@ def initial_state(index: ConsensusIndex, penalty: PenaltyState) -> FdState:
     projection, which are exactly feasible (:func:`equal_split_extract` is
     the exactly feasible form of this start).
     """
-    link_values = _equal_split_copies(index)
+    link_values = _equal_split_copies(index.instance)
     sent_values, sent_mins = group_reductions(index.layout, link_values)
-    extract = segment_mins(sent_mins, index.route_group_starts)
+    extract = segment_mins(sent_mins, index.layout.slot_starts)
     return FdState(
         index=index,
         link_values=link_values,
@@ -270,7 +301,7 @@ def fdadmm_round(state: FdState, objective: FairnessObjective) -> FdState:
     # (z_new - z_old)/lam); without it a tiny lam reports convergence while
     # the iterate is still far from the optimum
     dual_res = float(np.max(np.abs(consensus - state.consensus))) / lam if consensus.size else 0.0
-    state.extract = segment_mins(state.sent_mins, idx.route_group_starts)
+    state.extract = segment_mins(state.sent_mins, idx.layout.slot_starts)
     # consensus disagreement over every copy of every route: the per-link
     # copies and the prox copy (dropping the latter can report convergence
     # while the utility block is still moving)
@@ -326,10 +357,7 @@ def equal_split_extract(instance: Instance) -> np.ndarray:
     capacity equally among its routes and every route takes the minimum over
     its links, scaled to exact feasibility (``C/n`` summed ``n`` times can
     round above ``C``).  Strictly positive."""
-    inc = instance.incidence
-    sizes = np.diff(inc.link_starts).astype(np.float64)
-    split = np.full(instance.n_routes, np.inf)
-    np.minimum.at(split, inc.copy_route, instance.capacities[inc.copy_link] / sizes[inc.copy_link])
+    split = route_minima(instance, _equal_split_copies(instance))
     if np.isinf(split).any():
         raise SolverError("every route must traverse at least one link")
     return _scale_to_feasible(instance, split)
@@ -337,7 +365,7 @@ def equal_split_extract(instance: Instance) -> np.ndarray:
 
 def initial_cadmm_state(index: ConsensusIndex, penalty: PenaltyState) -> CadmmState:
     """Equal-split start, unscaled: its extract is replaced after the first step."""
-    split = segment_mins(_equal_split_copies(index)[index.perm_rd], index.route_starts_rd)
+    split = route_minima(index.instance, _equal_split_copies(index.instance))
     return CadmmState(
         index=index,
         x=split.copy(),
@@ -387,7 +415,7 @@ class LagrState:
 
 def initial_lagr_state(index: ConsensusIndex, penalty: PenaltyState) -> LagrState:
     """Zero rates, unit prices; the dual-gradient step takes no penalty."""
-    return LagrState(index=index, x=np.zeros(index.n_routes), multipliers=np.ones(index.n_links))
+    return LagrState(index=index, x=np.zeros(index.n_routes), multipliers=np.ones(index.instance.n_links))
 
 
 def lagr_step(state: LagrState, index: ConsensusIndex, objective: FairnessObjective) -> LagrState:
@@ -409,7 +437,7 @@ def lagr_step(state: LagrState, index: ConsensusIndex, objective: FairnessObject
     else:
         x = (objective.weights / prices) ** (1.0 / objective.alpha)
     loads = link_loads(index.instance, x)
-    caps = index.capacities
+    caps = index.instance.capacities
     state.multipliers = state.multipliers - (state.multipliers / (2.0 * caps)) * (caps - loads)
     state.residuals = Residuals(
         primal=float(max(0.0, np.max(loads - caps, initial=0.0))),
@@ -554,21 +582,20 @@ def solve(
         else:
             util_k = utility(objective, allocation_k) if np.all(allocation_k >= 0) else float("nan")
 
-        if config.record_trace:
-            trace.append(
-                TraceRow(
-                    iteration=state.iteration,
-                    event=event_index,
-                    algorithm=algorithm,
-                    objective_value=util_k,
-                    gap=relative_gap(util_k, reference_value),
-                    primal_residual=state.residuals.primal,
-                    dual_residual=state.residuals.dual,
-                    violated_pct=overloaded_percentage(loads, caps),
-                    message_floats=message_floats,
-                    wall_time=time.perf_counter() - start,
-                )
+        trace.append(
+            TraceRow(
+                iteration=state.iteration,
+                event=event_index,
+                algorithm=algorithm,
+                objective_value=util_k,
+                gap=relative_gap(util_k, reference_value),
+                primal_residual=state.residuals.primal,
+                dual_residual=state.residuals.dual,
+                violated_pct=overloaded_percentage(loads, caps),
+                message_floats=message_floats,
+                wall_time=time.perf_counter() - start,
             )
+        )
 
         if state.residuals.primal <= config.tol_primal and state.residuals.dual <= config.tol_dual:
             converged = True

@@ -147,7 +147,7 @@ def test_criterion_03_single_link_closed_form():
     expected = inst.weights * 6.0 / inst.weights.sum()
     errors = {}
     for algorithm, max_iters in (("fd-admm", 100_000), ("c-admm", 100_000), ("lagr", 10_000)):
-        cfg = SolverConfig(max_iters=max_iters, record_trace=False)
+        cfg = SolverConfig(max_iters=max_iters)
         got = solve(inst, None, algorithm, config=cfg).allocation
         errors[algorithm] = float(np.max(np.abs(got - expected)))
 
@@ -155,7 +155,7 @@ def test_criterion_03_single_link_closed_form():
     sym_expected = np.array([1.0, 1.0])
     sym_errors = {}
     for algorithm, max_iters in (("fd-admm", 100_000), ("c-admm", 100_000), ("lagr", 10_000)):
-        cfg = SolverConfig(tol_primal=1e-8, tol_dual=1e-8, max_iters=max_iters, record_trace=False)
+        cfg = SolverConfig(tol_primal=1e-8, tol_dual=1e-8, max_iters=max_iters)
         got = solve(sym, None, algorithm, config=cfg).allocation
         sym_errors[algorithm] = float(np.max(np.abs(got - sym_expected)))
 
@@ -177,7 +177,6 @@ def test_criterion_04_every_extract_feasible():
         tol_primal=0.0,
         tol_dual=0.0,
         max_iters=150,
-        record_trace=False,
         record_allocations=True,
     )
     violations = 0
@@ -246,7 +245,7 @@ def test_criterion_05_simulation_equivalence_and_partition_independence():
 
 
 def test_criterion_06_splitting_limits_agree_and_match_grid():
-    tight = SolverConfig(tol_primal=1e-8, tol_dual=1e-8, max_iters=200_000, record_trace=False)
+    tight = SolverConfig(tol_primal=1e-8, tol_dual=1e-8, max_iters=200_000)
     worst_pair = 0.0
     for s in range(20):
         inst = generate_random(

@@ -11,6 +11,7 @@ from fairalloc.model import (
     Route,
     balanced_assignment,
     build_partition,
+    carried_rates,
     generate_random,
     generate_with_topology,
     instance_from_dict,
@@ -58,6 +59,44 @@ def test_incidence_layout(tiny_instance):
     assert inc.link_starts.tolist() == [0, 2, 3]
     assert inc.copy_route.tolist() == [0, 1, 1]
     assert inc.members(0).tolist() == [0, 1]
+
+
+def test_link_copies_of_a_link_selection():
+    # link 1 carries no route; link 0 carries both routes, links 2 and 3 one each
+    inst = Instance(
+        links=tuple(Link(j, 1.0) for j in range(4)),
+        routes=(Route(0, (0, 2)), Route(1, (0, 3))),
+    )
+    inc = inst.incidence
+    for links, copies, starts in (
+        ([0, 1, 2], [0, 1, 2], [0, 2, 2, 3]),
+        ([1, 3], [3], [0, 0, 1]),
+        ([2], [2], [0, 1]),
+        ([], [], [0]),
+    ):
+        got_copies, got_starts = inc.link_copies(np.array(links, dtype=np.intp))
+        assert got_copies.tolist() == copies and got_starts.tolist() == starts, links
+    copies, starts = inc.link_copies(np.arange(inst.n_links))
+    assert copies.tolist() == list(range(inc.n_copies))
+    assert starts.tolist() == inc.link_starts.tolist()
+
+
+def test_carried_rates_is_identity_on_feasible_allocations(tiny_instance):
+    x = np.array([1.0, 0.5])
+    assert carried_rates(tiny_instance, x).tolist() == x.tolist()
+
+
+def test_carried_rates_grants_the_worst_proportional_share(tiny_instance):
+    # link 0 carries 4 over capacity 2 (grant 1/2), link 1 carries 2 over 1.5 (grant 3/4)
+    carried = carried_rates(tiny_instance, np.array([2.0, 2.0]))
+    assert carried.tolist() == [1.0, 1.0]
+    assert is_feasible(tiny_instance, carried)
+
+
+def test_carried_rates_keeps_the_rate_of_a_route_with_no_link():
+    # not validated: route 1 crosses no link, so nothing polices it
+    inst = Instance(links=(Link(0, 1.0),), routes=(Route(0, (0,)), Route(1, ())))
+    assert carried_rates(inst, np.array([4.0, 5.0])).tolist() == [1.0, 5.0]
 
 
 def test_link_loads_and_feasibility(tiny_instance):

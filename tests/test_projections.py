@@ -221,7 +221,7 @@ def test_dykstra_accurate_on_cadmm_points(monkeypatch):
         return project(instance, point, **kwargs)
 
     monkeypatch.setattr(solvers, "project_polyhedron", record)
-    config = solvers.SolverConfig(tol_primal=0.0, tol_dual=0.0, max_iters=4, record_trace=False)
+    config = solvers.SolverConfig(tol_primal=0.0, tol_dual=0.0, max_iters=4)
     solvers.solve(inst, None, "c-admm", config=config)
     monkeypatch.undo()
     links = sorted({j for r in inst.routes for j in r.links})

@@ -36,10 +36,11 @@ def make_setup(seed=11, domains=4, alpha=2.0, penalty=0.8, n_routes=30):
 def test_matches_vectorized_solver_bitwise():
     """40 rounds of message passing reproduce the vectorized iteration exactly
     on every prox branch (the closed form at alpha 0, Newton at 0.5 and 2)
-    over one, four and nine domains; the enforced allocation lags the
-    extract by the one round a message is in flight."""
+    over one, four, nine and sixteen domains (controllers of one or two of
+    the 20 links, some holding a link no route crosses); the enforced
+    allocation lags the extract by the one round a message is in flight."""
     for alpha in (0.0, 0.5, 2.0):
-        for domains in (1, 4, 9):
+        for domains in (1, 4, 9, 16):
             inst, part, obj, idx, state, nodes = make_setup(domains=domains, alpha=alpha)
             prev_extract = state.extract.copy()
             for k in range(40):
@@ -74,8 +75,8 @@ def test_replica_divergence_is_detected():
     run_round(nodes, 0)
     # corrupt one replica of a route held by several domains
     for node in nodes:
-        for i, r in enumerate(node.routes):
-            holders = sum(int(r) in n2.routes for n2 in nodes)
+        for i, r in enumerate(node.layout.routes):
+            holders = sum(int(r) in n2.layout.routes for n2 in nodes)
             if holders > 1:
                 node.route_values[i] += 1e-9
                 with pytest.raises(SimulationError, match="diverged"):
@@ -149,7 +150,7 @@ def test_inject_weight_update():
     new_w = inst.weights * 1.5
     inject_weight_update(nodes, new_w)
     for node in nodes:
-        np.testing.assert_array_equal(node.weights, new_w[node.routes])
+        np.testing.assert_array_equal(node.weights, new_w[node.layout.routes])
     with pytest.raises(SimulationError, match="positive"):
         inject_weight_update(nodes, np.zeros(inst.n_routes))
     with pytest.raises(SimulationError, match="shorter"):

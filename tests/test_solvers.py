@@ -46,7 +46,7 @@ def test_initial_state_is_feasible_equal_split(small_instance):
     assert is_feasible(small_instance, state.extract)
     # each copy vector saturates its link exactly
     for j in range(small_instance.n_links):
-        s, e = idx.link_starts[j], idx.link_starts[j + 1]
+        s, e = idx.layout.link_starts[j], idx.layout.link_starts[j + 1]
         if e > s:
             assert canonical_sum(state.link_values[s:e]) <= small_instance.capacities[j]
 
@@ -172,7 +172,7 @@ def test_cadmm_converges_where_dykstra_iterate_stalls():
     # a Dykstra stop rule that watched only the iterate returned points up to
     # 1.24 from the projection here, and c-admm never converged
     inst = generate_random(seed=206, n_nodes=8, n_links=14, n_routes=7, alpha=0.5)
-    config = SolverConfig(tol_primal=1e-8, tol_dual=1e-8, max_iters=2000, record_trace=False)
+    config = SolverConfig(tol_primal=1e-8, tol_dual=1e-8, max_iters=2000)
     result = solve(inst, None, "c-admm", config=config)
     assert result.converged
 
