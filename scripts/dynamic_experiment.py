@@ -78,7 +78,7 @@ def main() -> int:
                 write_trace(result.trace, out / f"trace_a{amplitude}_{algorithm}.csv")
 
     with open(out / "summary.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["amplitude", "algorithm", "mean_gap", "mean_violated_pct", "seconds"])
         for amplitude, algorithm, gap, viol, seconds in rows:
             writer.writerow(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 
-from fairalloc.experiments import sweep_penalty
+from fairalloc.experiments import sweep_penalty, write_sweep
 from fairalloc.model import generate_random
 from fairalloc.trace import format_value
 
@@ -55,10 +55,7 @@ def main() -> int:
     points = sweep_penalty(
         instance, penalties=grid, tol=args.tol, max_iters=args.max_iters, include_adaptive=False
     )
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("mode,penalty,iterations,converged\n")
-        for p in [adaptive] + points:
-            fh.write(f"{p.mode},{format_value(p.penalty)},{p.iterations},{int(p.converged)}\n")
+    write_sweep([adaptive] + points, args.out)
     converged = [p for p in points if p.converged]
     if converged:
         best = min(converged, key=lambda p: p.iterations)

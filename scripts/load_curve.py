@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import argparse
 
-from fairalloc.experiments import load_curve, mean_link_load
+from fairalloc.experiments import load_curve, write_load_curve
 from fairalloc.model import generate_random
-from fairalloc.trace import format_value
 
 
 def main() -> int:
@@ -49,12 +48,7 @@ def main() -> int:
         for n in counts
     ]
     points = load_curve(instances, tol=args.tol, max_iters=args.max_iters)
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("n_routes,mean_link_load,iterations,converged\n")
-        for p in points:
-            fh.write(
-                f"{p.n_routes},{format_value(p.mean_link_load)},{p.iterations},{int(p.converged)}\n"
-            )
+    write_load_curve(points, args.out)
     for p in points:
         print(
             f"{p.n_routes:>4} routes: mean load {p.mean_link_load:.2f}, "

@@ -18,10 +18,12 @@ partition gives every untraversed link to a domain that holds no route, and
 a balanced partition into 16 domains of one or two links each; it
 hashes the exported message-log CSV, the meter's per-pair and per-round
 counts, and the gathered link copies, enforced allocation and route
-replicas.  Two versions of the package that print the same digest for a
-group produce the same bits on that group's part of the grid.  The total
-covers the three solver groups only, so it compares with digests printed
-before the simulator group existed.
+replicas, then the report of ``measure_overhead`` over 20 rounds of the
+case (without the weight update): its rounds, predicted floats per round,
+metered total and sorted per-pair counts.  Two versions of the package
+that print the same digest for a group produce the same bits on that
+group's part of the grid.  The total covers the three solver groups only,
+so it compares with digests printed before the simulator group existed.
 
 The served mean gaps of ``run_dynamic`` are left out: they score the
 equal-split start, which is scaled to exact feasibility, not a solver output.
@@ -50,6 +52,7 @@ from fairalloc.simulator import (
     gather_link_values,
     gather_route_replicas,
     inject_weight_update,
+    measure_overhead,
     run_round,
 )
 from fairalloc.solvers import ALGORITHMS, SolverConfig, reference_solution, solve
@@ -134,7 +137,8 @@ def simulator_entries(workdir: Path):
         ("domains16", first, build_partition(first, balanced_assignment(first, 16)), None),
     ]
     for name, inst, part, update_at in cases:
-        controllers = build_controllers(inst, part, default_objective(inst), penalty=0.8)
+        objective = default_objective(inst)
+        controllers = build_controllers(inst, part, objective, penalty=0.8)
         meter = OverheadMeter()
         log = []
         for k in range(20):
@@ -151,6 +155,10 @@ def simulator_entries(workdir: Path):
         yield f"{name}.allocation", _array(gather_allocation(controllers, inst.n_routes))
         for attr in ("consensus", "route_values", "route_duals"):
             yield f"{name}.{attr}", _array(gather_route_replicas(controllers, inst.n_routes, attr))
+        report = measure_overhead(inst, part, objective, penalty=0.8, rounds=20)
+        yield f"{name}.overhead", repr(
+            (report.rounds, report.floats_per_round, report.total_floats, sorted(report.per_pair.items()))
+        ).encode()
 
 
 def main() -> int:

@@ -20,6 +20,8 @@ from .experiments import (
     load_curve,
     run_dynamic,
     sweep_penalty,
+    write_load_curve,
+    write_sweep,
 )
 from .fairness import FairnessError, FairnessObjective
 from .model import (
@@ -216,10 +218,7 @@ def _cmd_dynamic(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    instance = load_instance(args.instance)
-    partition = None
-    if args.partition:
-        partition = build_partition(instance, load_partition(args.partition))
+    instance, partition, _ = _load_inputs(args)
     if args.grid is not None:
         try:
             penalties = [float(tok) for tok in args.grid.split(",") if tok.strip()]
@@ -233,10 +232,7 @@ def _cmd_sweep(args) -> int:
     points = sweep_penalty(
         instance, penalties, tol=args.tol, max_iters=args.max_iters, partition=partition
     )
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("mode,penalty,iterations,converged\n")
-        for p in points:
-            fh.write(f"{p.mode},{format_value(p.penalty)},{p.iterations},{int(p.converged)}\n")
+    write_sweep(points, args.out)
     fixed = [p for p in points if p.mode == "fixed" and p.converged]
     adaptive = [p for p in points if p.mode == "adaptive"]
     if fixed:
@@ -254,12 +250,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_loadcurve(args) -> int:
     instances = [load_instance(path) for path in args.instances]
     points = load_curve(instances, tol=args.tol, max_iters=args.max_iters, penalty=args.penalty)
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("mean_link_load,n_routes,iterations,converged\n")
-        for p in points:
-            fh.write(
-                f"{format_value(p.mean_link_load)},{p.n_routes},{p.iterations},{int(p.converged)}\n"
-            )
+    write_load_curve(points, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -20,21 +20,14 @@ per-iterate gap of the bare iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fairness import FairnessObjective, default_objective, utility
 from .model import Instance, Partition, carried_rates
-from .solvers import (
-    SolveResult,
-    SolverConfig,
-    SolverError,
-    equal_split_extract,
-    reference_solution,
-    solve,
-)
-from .trace import TraceRow, relative_gap
+from .solvers import SolverConfig, equal_split_extract, reference_solution, solve
+from .trace import TraceRow, format_value, relative_gap
 
 
 class ExperimentError(ValueError):
@@ -257,6 +250,14 @@ def sweep_penalty(
     return points
 
 
+def write_sweep(points: list[SweepPoint], path) -> None:
+    """The sweep CSV: ``mode,penalty,iterations,converged``, one row per point."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("mode,penalty,iterations,converged\n")
+        for p in points:
+            fh.write(f"{p.mode},{format_value(p.penalty)},{p.iterations},{int(p.converged)}\n")
+
+
 # ---------------------------------------------------------------------------
 # load curve
 
@@ -295,3 +296,11 @@ def load_curve(
             )
         )
     return points
+
+
+def write_load_curve(points: list[LoadPoint], path) -> None:
+    """The load-curve CSV: ``mean_link_load,n_routes,iterations,converged``."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("mean_link_load,n_routes,iterations,converged\n")
+        for p in points:
+            fh.write(f"{format_value(p.mean_link_load)},{p.n_routes},{p.iterations},{int(p.converged)}\n")

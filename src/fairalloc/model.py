@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -118,13 +118,12 @@ class Instance:
 
 @dataclass(frozen=True)
 class Partition:
-    """Link-disjoint partition into domains 1..P; domain 0 is the route owner."""
+    """Link-disjoint partition into domains 1..P: link ``j`` belongs to
+    domain ``domain_of_link[j]``.  Which domains hold a route follows from
+    its links; the solver's ``ConsensusIndex`` tabulates it."""
 
     domain_of_link: tuple[int, ...]
     n_domains: int
-    links_by_domain: tuple[tuple[int, ...], ...]
-    routes_by_domain: tuple[tuple[int, ...], ...]
-    domains_of_route: tuple[tuple[int, ...], ...]
 
 
 def validate(instance: Instance) -> list[str]:
@@ -217,7 +216,7 @@ def is_feasible(instance: Instance, allocation: np.ndarray) -> bool:
 
 
 def build_partition(instance: Instance, domain_of_link: Mapping[int, int]) -> Partition:
-    """Validate a link->domain map and precompute per-domain structure.
+    """Validate a link->domain map that assigns every link of ``instance``.
 
     Domains must be exactly 1..P with every domain owning at least one link.
     """
@@ -238,24 +237,7 @@ def build_partition(instance: Instance, domain_of_link: Mapping[int, int]) -> Pa
     missing = [p for p in range(1, n_domains + 1) if p not in present]
     if missing:
         raise ModelError(f"domain {missing[0]}: owns no links (domains must be contiguous 1..P)")
-
-    links_by_domain: list[list[int]] = [[] for _ in range(n_domains + 1)]
-    for j, p in enumerate(assignment):
-        links_by_domain[p].append(j)
-    routes_by_domain: list[set[int]] = [set() for _ in range(n_domains + 1)]
-    domains_of_route: list[set[int]] = [{0} for _ in range(instance.n_routes)]
-    for route in instance.routes:
-        for j in route.links:
-            p = assignment[j]
-            routes_by_domain[p].add(route.id)
-            domains_of_route[route.id].add(p)
-    return Partition(
-        domain_of_link=tuple(assignment),
-        n_domains=n_domains,
-        links_by_domain=tuple(tuple(ls) for ls in links_by_domain),
-        routes_by_domain=tuple(tuple(sorted(rs)) for rs in routes_by_domain),
-        domains_of_route=tuple(tuple(sorted(ds)) for ds in domains_of_route),
-    )
+    return Partition(domain_of_link=tuple(assignment), n_domains=n_domains)
 
 
 def single_domain(instance: Instance) -> Partition:

@@ -1,9 +1,10 @@
 """In-process message-passing execution of the link-by-link consensus method.
 
-Each domain controller owns the links of one partition class and keeps
-replicas of the route-owned variables for every route crossing it.  Rounds
-are synchronous: every node computes from the messages of the previous
-round, then all new messages are delivered at once.
+Domain ``p``'s controller owns the links ``j`` with ``domain_of_link[j] == p``
+and keeps replicas of the route-owned variables for every route crossing
+them; the group table of one ``ConsensusIndex`` says which domains hold each
+route.  Rounds are synchronous: every node computes from the messages of
+the previous round, then all new messages are delivered at once.
 
 Node layout.  A node's :class:`~fairalloc.solvers.RoundLayout` is
 ``ConsensusIndex.round_layout`` of its domain's links, the function that
@@ -45,7 +46,7 @@ import numpy as np
 from .fairness import FairnessObjective, PenaltyState, prox_values  # noqa: F401
 from .model import Instance, Partition
 from .numerics import segment_mins
-from .solvers import ConsensusIndex, RoundLayout, consensus_round, initial_state, wire_floats_per_round
+from .solvers import ConsensusIndex, RoundLayout, consensus_round, initial_state
 from .trace import format_value
 
 
@@ -158,12 +159,16 @@ def build_controllers(
         raise SimulationError(
             f"objective has {objective.weights.size} weights for {instance.n_routes} routes"
         )
+    if len(partition.domain_of_link) != instance.n_links:
+        raise SimulationError(f"partition maps {len(partition.domain_of_link)} links, instance has {instance.n_links}")
     index = ConsensusIndex(instance, partition)
+    domain_of_link = np.asarray(partition.domain_of_link)
     base = initial_state(index, PenaltyState(value=penalty, frozen=True))
     own_slot_of_route = np.zeros(instance.n_routes, dtype=np.intp)
     nodes: list[ControllerNode] = []
     for p in range(1, partition.n_domains + 1):
-        layout = index.round_layout(np.array(partition.links_by_domain[p], dtype=np.intp))
+        links = np.flatnonzero(domain_of_link == p)
+        layout = index.round_layout(links)
         slot_route = index.group_route[layout.slots]
         slot_domain = index.group_domain[layout.slots]
         own_slots = np.nonzero(slot_domain == p)[0]
@@ -177,7 +182,7 @@ def build_controllers(
                 penalty=penalty,
                 layout=layout,
                 weights=objective.weights[layout.routes],
-                links=list(partition.links_by_domain[p]),
+                links=links.tolist(),
                 copies=base.link_values[layout.copies],
                 duals=np.zeros(layout.copies.size),
                 aggregates=base.sent_values[layout.slots],
@@ -301,8 +306,8 @@ def measure_overhead(
     """Run the simulation and report measured wire traffic.
 
     Per round, domain ``p`` sends two floats to every other domain for each
-    route they share, so the per-round total is
-    ``2 * sum_r holders(r) * (holders(r) - 1)``.
+    route they share: the predicted per-round total, two floats per route of
+    every outbox, is ``2 * sum_r holders(r) * (holders(r) - 1)``.
     """
     controllers = build_controllers(instance, partition, objective, penalty)
     meter = OverheadMeter()
@@ -310,7 +315,7 @@ def measure_overhead(
         run_round(controllers, round_index=k, meter=meter)
     return OverheadReport(
         rounds=rounds,
-        floats_per_round=wire_floats_per_round(partition),
+        floats_per_round=sum(2 * routes.size for node in controllers for routes, _ in node.outbox.values()),
         total_floats=meter.total_floats,
         per_pair=dict(meter.per_pair),
     )

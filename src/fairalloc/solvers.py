@@ -97,13 +97,6 @@ class SolverConfig:
             raise SolverError("time_budget must be > 0 or None")
 
 
-def wire_floats_per_round(partition: Partition) -> int:
-    """Floats fd-admm puts on the wire per round, ``2 * sum_r h_r (h_r - 1)``:
-    each of the ``h_r`` domains holding route ``r`` sends 2 floats to every
-    other holder."""
-    return 2 * sum((len(ds) - 1) * (len(ds) - 2) for ds in partition.domains_of_route)
-
-
 class RoundLayout(NamedTuple):
     """Where one fd-admm round reads and writes, over flat arrays of routes,
     holder slots and link copies, and which of the instance's routes, slots
@@ -154,13 +147,17 @@ class ConsensusIndex:
     Copies live in two orders: the incidence order (link, route) used for
     projection and loads, and a permutation ``perm_rd`` sorted by (route,
     domain, link) whose contiguous segments are the (route, domain) groups a
-    domain controller transmits; the group table holds where each opens,
-    its route and its domain.  :meth:`round_layout` reads the layout of any
-    domains' links from it; ``layout``, the one of every link, is built at
-    first use, as c-admm and lagr never read it.
+    domain controller transmits; the group table, the one record of which
+    domains hold a route, has where each opens, its route and its domain.
+    :meth:`round_layout` reads the layout of any domains' links from it;
+    ``layout``, the one of every link, is built at first use, as c-admm and
+    lagr never read it.  Per round fd-admm sends ``floats_per_round``, 2 per
+    route from each of its ``h`` holders to every other: ``2 sum h (h - 1)``.
     """
 
     def __init__(self, instance: Instance, partition: Partition):
+        if len(partition.domain_of_link) != instance.n_links:
+            raise SolverError(f"partition maps {len(partition.domain_of_link)} links, instance has {instance.n_links}")
         inc = instance.incidence
         self.instance = instance
         self.n_routes = instance.n_routes
@@ -188,7 +185,8 @@ class ConsensusIndex:
         self.group_domain = domain_rd[self.opens_group]
         self.group_opens_route = opens_route[self.opens_group]
         self.bottlenecks = bottleneck_capacities(instance)
-        self.floats_per_round = wire_floats_per_round(partition)
+        holders = np.bincount(self.group_route, minlength=self.n_routes)
+        self.floats_per_round = int(2 * np.sum(holders * (holders - 1)))
 
     @cached_property
     def layout(self) -> RoundLayout:
@@ -454,15 +452,16 @@ def lagr_step(state: LagrState, index: ConsensusIndex, objective: FairnessObject
 class Method(NamedTuple):
     init: Callable  # (index, penalty) -> state
     step: Callable  # (state, objective): advances the state in place
+    state: type  # the class ``init`` returns; a warm state must be one
     penalized: bool = True  # runs on a penalty with penalty-scaled duals
 
 
 # the steps look up their module-level names at call time, so a wrapper
 # installed on ``solvers.fdadmm_round`` (or the others) sees every round
 METHODS = {
-    "fd-admm": Method(initial_state, lambda state, obj: fdadmm_round(state, obj)),
-    "c-admm": Method(initial_cadmm_state, lambda state, obj: cadmm_step(state, state.index.instance, obj)),
-    "lagr": Method(initial_lagr_state, lambda state, obj: lagr_step(state, state.index, obj), penalized=False),
+    "fd-admm": Method(initial_state, lambda s, obj: fdadmm_round(s, obj), FdState),
+    "c-admm": Method(initial_cadmm_state, lambda s, obj: cadmm_step(s, s.index.instance, obj), CadmmState),
+    "lagr": Method(initial_lagr_state, lambda s, obj: lagr_step(s, s.index, obj), LagrState, penalized=False),
 }
 
 
@@ -520,7 +519,8 @@ def solve(
 ) -> SolveResult:
     """Run one algorithm to its stopping criterion, budget, or iteration cap.
 
-    ``warm_state`` (a prior ``SolveResult.state``) continues from that
+    ``warm_state`` (a prior ``SolveResult.state`` of the same algorithm on
+    the same instance, else :class:`SolverError`) continues from that
     iterate with its index; the adaptive rule re-picks the penalty from the
     carried value, counting rounds from zero, because each call counts as a
     fresh execution.  The returned allocation is the final iterate's
@@ -542,6 +542,11 @@ def solve(
     reference_value = utility(objective, reference) if reference is not None else float("nan")
     penalty = _initial_penalty(config, objective)
     if warm_state is not None:
+        if not isinstance(warm_state, method.state):
+            raise SolverError(f"{algorithm} cannot continue a {type(warm_state).__name__}")
+        # identity first: comparing the route tuples costs tens of microseconds
+        if warm_state.index.instance is not instance and warm_state.index.instance != instance:
+            raise SolverError("warm state belongs to another instance")
         state = _clone(warm_state)
     else:
         state = method.init(ConsensusIndex(instance, partition or single_domain(instance)), penalty)

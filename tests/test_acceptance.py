@@ -407,8 +407,8 @@ def test_criterion_10_overhead_formula_exact():
             part = build_partition(inst, balanced_assignment(inst, n_domains))
             report = measure_overhead(inst, part, obj, penalty=0.8, rounds=rounds)
             expected_pairs: dict[tuple[int, int], int] = {}
-            for holders in part.domains_of_route:
-                owners = [p for p in holders if p != 0]
+            for route in inst.routes:
+                owners = {part.domain_of_link[j] for j in route.links}
                 for p in owners:
                     for q in owners:
                         if p != q:
@@ -442,8 +442,9 @@ def test_criterion_11_moduli_certificates():
         floor = equal_split_extract(inst)
         mod = moduli(inst, obj, floor)
         domain_lipschitz = []
-        for routes in part.routes_by_domain[1:]:
-            idx = np.array(routes, dtype=np.intp)
+        for p in range(1, part.n_domains + 1):
+            held = [r.id for r in inst.routes if any(part.domain_of_link[j] == p for j in r.links)]
+            idx = np.array(held, dtype=np.intp)
             if idx.size:
                 lip = alpha * float(np.max(obj.weights[idx] / floor[idx] ** (alpha + 1.0)))
                 domain_lipschitz.append((idx, lip))

@@ -3,13 +3,17 @@ import pytest
 
 from fairalloc.experiments import (
     ExperimentError,
+    LoadPoint,
     ReferenceCache,
     Scenario,
+    SweepPoint,
     evolve_weights,
     load_curve,
     mean_link_load,
     run_dynamic,
     sweep_penalty,
+    write_load_curve,
+    write_sweep,
 )
 from fairalloc.model import balanced_assignment, build_partition, generate_random
 from fairalloc.solvers import SolverConfig
@@ -143,3 +147,12 @@ def test_load_curve_points():
 
 def test_mean_link_load(tiny_instance):
     assert mean_link_load(tiny_instance) == 1.5
+
+
+def test_csv_writers_end_rows_with_newline(tmp_path):
+    sweep = tmp_path / "sweep.csv"
+    write_sweep([SweepPoint("fixed", 0.5, 12, True), SweepPoint("adaptive", 2.0, 30, False)], sweep)
+    assert sweep.read_bytes() == b"mode,penalty,iterations,converged\nfixed,0.5,12,1\nadaptive,2,30,0\n"
+    curve = tmp_path / "curve.csv"
+    write_load_curve([LoadPoint(1.5, 8, 40, True)], curve)
+    assert curve.read_bytes() == b"mean_link_load,n_routes,iterations,converged\n1.5,8,40,1\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -25,6 +26,7 @@ from fairalloc.model import (
     single_domain,
     validate,
 )
+from fairalloc.solvers import ConsensusIndex
 
 
 def test_validate_accepts_wellformed(small_instance):
@@ -109,12 +111,11 @@ def test_link_loads_and_feasibility(tiny_instance):
 
 def test_partition_structure(small_instance):
     part = build_partition(small_instance, balanced_assignment(small_instance, 3))
+    # the link->domain map is the whole record; the index derives the rest
+    assert [f.name for f in dataclasses.fields(part)] == ["domain_of_link", "n_domains"]
     assert part.n_domains == 3
-    counts = [len(ls) for ls in part.links_by_domain[1:]]
-    assert max(counts) - min(counts) <= 1
-    # every route's domain list starts with the route-owner pseudo-domain 0
-    for ds in part.domains_of_route:
-        assert ds[0] == 0 and len(ds) >= 2
+    counts = np.bincount(part.domain_of_link)[1:]
+    assert counts.size == 3 and counts.max() - counts.min() <= 1
 
 
 def test_partition_rejects_missing_link(small_instance):
@@ -134,8 +135,11 @@ def test_partition_rejects_empty_domain(small_instance):
 def test_single_domain_covers_everything(small_instance):
     part = single_domain(small_instance)
     assert part.n_domains == 1
-    assert len(part.links_by_domain[1]) == small_instance.n_links
-    assert len(part.routes_by_domain[1]) == small_instance.n_routes
+    assert part.domain_of_link == (1,) * small_instance.n_links
+    idx = ConsensusIndex(small_instance, part)
+    assert idx.group_route.tolist() == list(range(small_instance.n_routes))
+    assert set(idx.group_domain.tolist()) == {1}
+    assert idx.floats_per_round == 0
 
 
 def test_generate_is_deterministic():
@@ -233,10 +237,13 @@ def test_partition_file_rejects_duplicates(tmp_path):
 def test_partition_covers_and_matches_route_links(seed, domains):
     inst = generate_random(seed=seed, n_nodes=7, n_links=10, n_routes=8)
     part = build_partition(inst, balanced_assignment(inst, min(domains, inst.n_links)))
-    seen = set()
-    for p in range(1, part.n_domains + 1):
-        seen.update(part.links_by_domain[p])
-    assert seen == set(range(inst.n_links))
+    assert len(part.domain_of_link) == inst.n_links
+    assert set(part.domain_of_link) == set(range(1, part.n_domains + 1))
+    # the index's (route, domain) groups are the holders of each route
+    idx = ConsensusIndex(inst, part)
+    holders = []
     for route in inst.routes:
-        expected = {0} | {part.domain_of_link[j] for j in route.links}
-        assert set(part.domains_of_route[route.id]) == expected
+        expected = {part.domain_of_link[j] for j in route.links}
+        assert set(idx.group_domain[idx.group_route == route.id].tolist()) == expected
+        holders.append(len(expected))
+    assert idx.floats_per_round == sum(2 * h * (h - 1) for h in holders)

@@ -3,6 +3,7 @@ import pytest
 
 from fairalloc.fairness import PenaltyState, default_objective
 from fairalloc.model import (
+    Partition,
     balanced_assignment,
     build_partition,
     generate_random,
@@ -183,14 +184,16 @@ def test_build_controllers_validates():
         build_controllers(inst, part, obj, penalty=0.0)
 
 
-def _shared_routes(part):
-    """(p, q) -> ascending routes held by both domains, p != q."""
+def _shared_routes(inst, part):
+    """(p, q) -> ascending routes held by both domains, p != q; a route is
+    held by the domains of its links."""
     shared = {}
-    for r, holders in enumerate(part.domains_of_route):
-        for p in holders[1:]:
-            for q in holders[1:]:
+    for route in inst.routes:
+        holders = sorted({part.domain_of_link[j] for j in route.links})
+        for p in holders:
+            for q in holders:
                 if p != q:
-                    shared.setdefault((p, q), []).append(r)
+                    shared.setdefault((p, q), []).append(route.id)
     return shared
 
 
@@ -204,7 +207,7 @@ def test_routeless_domain_computes_and_sends_nothing():
         if j not in carrying:
             assignment[j] = 4
     part = build_partition(inst, assignment)
-    assert part.routes_by_domain[4] == ()
+    assert all(part.domain_of_link[j] != 4 for route in inst.routes for j in route.links)
     obj = default_objective(inst)
     state = initial_state(ConsensusIndex(inst, part), PenaltyState(value=0.8, frozen=True))
     nodes = build_controllers(inst, part, obj, penalty=0.8)
@@ -230,9 +233,18 @@ def test_build_controllers_rejects_mismatched_objective():
             build_controllers(inst, part, obj, penalty=1.0)
 
 
+def test_build_controllers_rejects_partition_of_other_link_count():
+    inst = generate_random(seed=4, n_nodes=8, n_links=12, n_routes=10, alpha=1.0)
+    obj = default_objective(inst)
+    for count in (11, 13):
+        part = Partition(domain_of_link=(1,) * count, n_domains=1)
+        with pytest.raises(SimulationError, match=f"partition maps {count} links, instance has 12"):
+            build_controllers(inst, part, obj, penalty=1.0)
+
+
 def test_one_message_per_peer_with_routes_ascending():
     inst, part, obj, idx, state, nodes = make_setup(seed=3, domains=6)
-    shared = _shared_routes(part)
+    shared = _shared_routes(inst, part)
     for node in nodes:
         messages = node.compute_round(0)
         peers = sorted(q for (p, q) in shared if p == node.domain)
@@ -248,7 +260,7 @@ def test_meter_counts_two_floats_per_shared_route_per_pair():
     meter = OverheadMeter()
     for k in range(4):
         run_round(nodes, k, meter=meter)
-    shared = _shared_routes(part)
+    shared = _shared_routes(inst, part)
     assert meter.per_pair == {pair: 2 * 4 * len(routes) for pair, routes in shared.items()}
 
 

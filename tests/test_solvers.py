@@ -7,6 +7,7 @@ from fairalloc.fairness import FairnessObjective, PenaltyState, default_objectiv
 from fairalloc.model import (
     Instance,
     Link,
+    Partition,
     Route,
     balanced_assignment,
     build_partition,
@@ -334,3 +335,36 @@ def test_reference_solution_deterministic():
 
 def test_algorithm_registry():
     assert set(ALGORITHMS) == {"fd-admm", "c-admm", "lagr"}
+
+
+def test_warm_state_of_another_instance_is_rejected():
+    a = generate_random(seed=21, n_nodes=8, n_links=12, n_routes=10, alpha=1.0)
+    b = generate_random(seed=22, n_nodes=8, n_links=12, n_routes=10, alpha=1.0)
+    cfg = SolverConfig(penalty=1.0, tol_primal=0.0, tol_dual=0.0, max_iters=3)
+    for algorithm in ALGORITHMS:
+        state = solve(a, algorithm=algorithm, config=cfg).state
+        with pytest.raises(SolverError, match="another instance"):
+            solve(b, algorithm=algorithm, config=cfg, warm_state=state)
+        # an equal instance that is a different object continues the state
+        twin = generate_random(seed=21, n_nodes=8, n_links=12, n_routes=10, alpha=1.0)
+        assert solve(twin, algorithm=algorithm, config=cfg, warm_state=state).iterations == 6
+
+
+def test_warm_state_of_another_algorithm_is_rejected(small_instance):
+    cfg = SolverConfig(penalty=1.0, tol_primal=0.0, tol_dual=0.0, max_iters=2)
+    states = {name: solve(small_instance, algorithm=name, config=cfg).state for name in ALGORITHMS}
+    for algorithm in ALGORITHMS:
+        for other, state in states.items():
+            if other != algorithm:
+                with pytest.raises(SolverError, match=f"{algorithm} cannot continue"):
+                    solve(small_instance, algorithm=algorithm, config=cfg, warm_state=state)
+
+
+def test_partition_link_count_must_match_instance(small_instance):
+    n = small_instance.n_links
+    for count in (n - 1, n + 1):
+        part = Partition(domain_of_link=(1,) * count, n_domains=1)
+        with pytest.raises(SolverError, match=f"partition maps {count} links, instance has {n}"):
+            ConsensusIndex(small_instance, part)
+        with pytest.raises(SolverError, match="partition maps"):
+            solve(small_instance, part)
