@@ -84,19 +84,26 @@ def cost_gradient(objective: FairnessObjective, allocation: np.ndarray) -> np.nd
 _ROOT_MAX_STEPS = 400
 
 
-def prox_values(alpha: float, weights: np.ndarray, values: np.ndarray, lam: float) -> np.ndarray:
+def prox_values(
+    alpha: float, weights: np.ndarray, values: np.ndarray, lam: float, start: np.ndarray | None = None,
+) -> np.ndarray:
     """Elementwise prox of the negated utility with reciprocal penalty ``lam``.
 
     Closed forms: ``alpha == 1`` gives ``(v + sqrt(v^2 + 4*lam*w)) / 2``;
     ``alpha == 0`` gives ``max(v + lam*w, 0)``.  For other ``alpha > 0`` the
     root of ``x**alpha * (x - v) = lam*w`` is found by a safeguarded Newton
     iteration inside the bracket ``[max(v, 0), max(v, 0) + (lam*w)**(1/(1+alpha))]``
-    to residual tolerance ``1e-12 * max(1, lam*w)`` — or, when that residual
-    is below what adjacent float64 values of x can express, to the correctly
-    rounded root (bracket collapsed to one ulp).
+    (widened against rounding until it holds the root) to residual tolerance
+    ``1e-12 * max(1, lam*w)`` — or, when that residual is below what adjacent
+    float64 values of x can express, to the correctly rounded root (bracket
+    collapsed to one ulp).
 
-    Each element's update sequence depends only on its own trajectory, so the
-    result is bitwise independent of how inputs are batched.
+    The iteration starts at the top of the bracket, or, given an elementwise
+    ``start`` (finite, shaped like ``values``; the last prox output is a good
+    one), at ``start`` clipped into the bracket.  The closed forms ignore it.
+
+    Each element's update sequence depends only on its own ``(v, lam*w,
+    start)``, so the result is bitwise independent of how inputs are batched.
     """
     w = np.asarray(weights, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
@@ -106,6 +113,10 @@ def prox_values(alpha: float, weights: np.ndarray, values: np.ndarray, lam: floa
         raise FairnessError(f"alpha must be finite and >= 0, got {alpha}")
     if w.shape != v.shape:
         raise FairnessError("weights and values must have matching shapes")
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != v.shape or not np.all(np.isfinite(start)):
+            raise FairnessError("start must be finite and shaped like values")
     target = lam * w
     if alpha == 1.0:
         return (v + np.sqrt(v * v + 4.0 * target)) / 2.0
@@ -121,7 +132,7 @@ def prox_values(alpha: float, weights: np.ndarray, values: np.ndarray, lam: floa
         if not np.any(bad):
             break
         hi = np.where(bad, lo + 2.0 * (hi - lo), hi)
-    x = hi.copy()
+    x = hi.copy() if start is None else np.clip(start, lo, hi)
     tol = 1e-12 * np.maximum(1.0, target)
     active = np.arange(x.size)
     lo_a, hi_a, x_a = lo.ravel().copy(), hi.ravel().copy(), x.ravel()

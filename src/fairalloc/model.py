@@ -195,8 +195,10 @@ def carried_rates(instance: Instance, offered: np.ndarray) -> np.ndarray:
 
     Every overloaded link grants its routes the proportional share
     ``capacity / load`` and a route is carried at its worst link's grant, the
-    fluid model of per-link policing.  The result is always feasible, and the
-    map is the identity on feasible allocations.
+    fluid model of per-link policing.  The map is the identity on feasible
+    allocations.  In exact arithmetic the result fits every cap; in float64
+    the rounded grants and load sums can leave a load a few ulps above its
+    cap, so the result need not pass :func:`is_feasible`.
     """
     x = np.asarray(offered, dtype=np.float64)
     loads = link_loads(instance, x)
@@ -232,6 +234,8 @@ def build_partition(instance: Instance, domain_of_link: Mapping[int, int]) -> Pa
     extra = set(domain_of_link) - set(range(n_links))
     if extra:
         raise ModelError(f"partition assigns unknown link {sorted(extra)[0]}")
+    if not assignment:
+        raise ModelError("instance has no links to partition")
     n_domains = max(assignment)
     present = set(assignment)
     missing = [p for p in range(1, n_domains + 1) if p not in present]

@@ -128,7 +128,9 @@ def consensus_round(
 
     The node-local x, z and dual updates of general-form consensus ADMM
     (Boyd et al., 2011, section 7.2); a route's consensus is its slot sums
-    plus its route-owned copy, over the divisor.  Updates ``copies``,
+    plus its route-owned copy, over the divisor, and the prox starts from
+    the last round's ``route_values`` (Boyd et al., 2011, section 4.3: warm
+    start of the iterative x-update).  Updates ``copies``,
     ``copy_duals`` and ``route_duals`` in place and returns the consensus,
     the new route values, and each written group's sum and minimum.
     """
@@ -137,7 +139,7 @@ def consensus_round(
     copy_duals += copies - spread
     layout.projector.apply(spread - copy_duals, out=copies)
     route_duals += route_values - consensus
-    new_route_values = prox_values(alpha, weights, consensus - route_duals, lam)
+    new_route_values = prox_values(alpha, weights, consensus - route_duals, lam, start=route_values)
     return (consensus, new_route_values, *group_reductions(layout, copies))
 
 
@@ -153,6 +155,8 @@ class ConsensusIndex:
     ``layout``, the one of every link, is built at first use, as c-admm and
     lagr never read it.  Per round fd-admm sends ``floats_per_round``, 2 per
     route from each of its ``h`` holders to every other: ``2 sum h (h - 1)``.
+    It keeps the partition's ``domain_of_link``, so ``solve`` can tell a warm
+    state of another partition.
     """
 
     def __init__(self, instance: Instance, partition: Partition):
@@ -160,6 +164,7 @@ class ConsensusIndex:
             raise SolverError(f"partition maps {len(partition.domain_of_link)} links, instance has {instance.n_links}")
         inc = instance.incidence
         self.instance = instance
+        self.domain_of_link = partition.domain_of_link
         self.n_routes = instance.n_routes
         self.copy_route = inc.copy_route
         self.copy_link = inc.copy_link
@@ -377,7 +382,7 @@ def initial_cadmm_state(index: ConsensusIndex, penalty: PenaltyState) -> CadmmSt
 def cadmm_step(state: CadmmState, instance: Instance, objective: FairnessObjective) -> CadmmState:
     """One iteration: prox of the utility, project onto the polyhedron, dual step."""
     lam = state.penalty.value
-    x = prox_values(objective.alpha, objective.weights, state.z - state.dual, lam)
+    x = prox_values(objective.alpha, objective.weights, state.z - state.dual, lam, start=state.x)
     z = project_polyhedron(instance, x + state.dual, tolerance=DYKSTRA_TOL)
     state.dual += x - z
     state.residuals = Residuals(
@@ -520,9 +525,10 @@ def solve(
     """Run one algorithm to its stopping criterion, budget, or iteration cap.
 
     ``warm_state`` (a prior ``SolveResult.state`` of the same algorithm on
-    the same instance, else :class:`SolverError`) continues from that
-    iterate with its index; the adaptive rule re-picks the penalty from the
-    carried value, counting rounds from zero, because each call counts as a
+    the same instance and, unless ``partition`` is None, the same partition,
+    else :class:`SolverError`) continues from that iterate with its index
+    and the index's partition; the adaptive rule re-picks the penalty from
+    the carried value, counting rounds from zero, because each call counts as a
     fresh execution.  The returned allocation is the final iterate's
     feasible extract when converged, otherwise the best feasible point seen
     — except for ``lagr``, which reports its last iterate even when
@@ -547,6 +553,9 @@ def solve(
         # identity first: comparing the route tuples costs tens of microseconds
         if warm_state.index.instance is not instance and warm_state.index.instance != instance:
             raise SolverError("warm state belongs to another instance")
+        held = warm_state.index.domain_of_link
+        if partition is not None and partition.domain_of_link is not held and partition.domain_of_link != held:
+            raise SolverError("warm state belongs to another partition")
         state = _clone(warm_state)
     else:
         state = method.init(ConsensusIndex(instance, partition or single_domain(instance)), penalty)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fairalloc import fairness
 from fairalloc.fairness import (
     FairnessError,
     FairnessObjective,
@@ -101,6 +102,11 @@ def test_prox_validates():
         prox_values(1.0, np.array([1.0]), np.array([0.0, 1.0]), 1.0)
     with pytest.raises(FairnessError):
         prox_values(-0.5, np.array([1.0]), np.array([0.0]), 1.0)
+    w, v = np.array([1.0, 2.0]), np.array([0.5, -1.0])
+    for alpha in (0.0, 1.0, 2.0):
+        for start in (np.array([1.0]), np.ones((2, 1)), np.array([1.0, np.nan]), np.array([np.inf, 1.0])):
+            with pytest.raises(FairnessError, match="start"):
+                prox_values(alpha, w, v, 1.0, start=start)
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,10 +159,66 @@ def test_prox_batch_order_independence():
     rng = np.random.default_rng(3)
     w = rng.uniform(0.1, 30.0, size=64)
     v = rng.uniform(-5.0, 20.0, size=64)
-    full = prox_values(2.5, w, v, 0.7)
     perm = rng.permutation(64)
-    shuffled = prox_values(2.5, w[perm], v[perm], 0.7)
-    np.testing.assert_array_equal(shuffled, full[perm])
+    for start in (None, rng.uniform(-1.0, 25.0, size=64)):
+        full = prox_values(2.5, w, v, 0.7, start=start)
+        shuffled = prox_values(2.5, w[perm], v[perm], 0.7, start=None if start is None else start[perm])
+        np.testing.assert_array_equal(shuffled, full[perm])
+        for r in range(64):
+            one = None if start is None else start[r : r + 1]
+            assert prox_values(2.5, w[r : r + 1], v[r : r + 1], 0.7, start=one)[0] == full[r]
+
+
+def _start_case(seed, n=64):
+    """Weights, values and penalty whose roots are of order one, so the
+    residual tolerance ``1e-12 * max(1, lam*w)`` is what stops the search."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.5, 3.0, n), rng.uniform(-3.0, 3.0, n), 0.8
+
+
+def _residual(alpha, w, v, lam, x):
+    return x**alpha * (x - v) - lam * w
+
+
+def test_prox_start_meets_tolerance_and_agrees_with_cold_start():
+    for alpha in (0.5, 2.0, 3.7):
+        w, v, lam = _start_case(5)
+        cold = prox_values(alpha, w, v, lam)
+        lo = np.maximum(v, 0.0)
+        starts = {
+            "random": np.random.default_rng(6).uniform(-5.0, 10.0, v.size),
+            "below lo": lo - 1.0,
+            "above hi": lo + 1e6,
+            "zero": np.zeros(v.size),
+        }
+        tol = 1e-12 * np.maximum(1.0, lam * w)
+        for name, start in starts.items():
+            warm = prox_values(alpha, w, v, lam, start=start)
+            assert np.all(np.abs(_residual(alpha, w, v, lam, warm)) <= tol), (alpha, name)
+            # phi' >= x**alpha above max(v, 0), so two points within the
+            # tolerance lie within 2 tol / min(x)**alpha of each other
+            bound = 2.0 * tol / np.minimum(warm, cold) ** alpha + 2.0 * np.spacing(cold)
+            assert np.all(np.abs(warm - cold) <= bound), (alpha, name)
+
+
+def test_prox_start_at_the_root_stops_after_one_pass(monkeypatch):
+    alpha = 2.0
+    w, v, lam = _start_case(7)
+    root = prox_values(alpha, w, v, lam)
+    assert np.all(np.abs(_residual(alpha, w, v, lam, root)) <= 1e-12 * np.maximum(1.0, lam * w))
+    # two loop passes: one that finds every residual within tolerance, one
+    # that sees nothing left to do; the cold start needs more
+    monkeypatch.setattr(fairness, "_ROOT_MAX_STEPS", 2)
+    np.testing.assert_array_equal(prox_values(alpha, w, v, lam, start=root), root)
+    with pytest.raises(FairnessError, match="failed to converge"):
+        prox_values(alpha, w, v, lam)
+
+
+def test_prox_closed_forms_ignore_start():
+    w, v, lam = _start_case(11)
+    start = np.random.default_rng(12).uniform(-1.0, 4.0, v.size)
+    for alpha in (0.0, 1.0):
+        np.testing.assert_array_equal(prox_values(alpha, w, v, lam, start=start), prox_values(alpha, w, v, lam))
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,11 @@ def test_partition_rejects_empty_domain(small_instance):
         build_partition(small_instance, mapping)
 
 
+def test_partition_of_an_instance_without_links_is_a_model_error():
+    with pytest.raises(ModelError, match="no links"):
+        build_partition(Instance((), (), 1.0), {})
+
+
 def test_single_domain_covers_everything(small_instance):
     part = single_domain(small_instance)
     assert part.n_domains == 1

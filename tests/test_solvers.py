@@ -350,6 +350,26 @@ def test_warm_state_of_another_instance_is_rejected():
         assert solve(twin, algorithm=algorithm, config=cfg, warm_state=state).iterations == 6
 
 
+def test_warm_state_of_another_partition_is_rejected():
+    inst = generate_random(seed=3, n_nodes=12, n_links=20, n_routes=30, alpha=1.0)
+    p2 = build_partition(inst, balanced_assignment(inst, 2))
+    p4 = build_partition(inst, balanced_assignment(inst, 4))
+    cfg = SolverConfig(penalty=1.0, tol_primal=0.0, tol_dual=0.0, max_iters=3)
+    assert ConsensusIndex(inst, p2).floats_per_round == 72
+    assert ConsensusIndex(inst, p4).floats_per_round == 120
+    for algorithm in ALGORITHMS:
+        state = solve(inst, p2, algorithm, config=cfg).state
+        with pytest.raises(SolverError, match="another partition"):
+            solve(inst, p4, algorithm, config=cfg, warm_state=state)
+        # an equal partition that is a different object, or none, continues
+        # the state on its own partition
+        twin = build_partition(inst, balanced_assignment(inst, 2))
+        for partition in (twin, None):
+            result = solve(inst, partition, algorithm, config=cfg, warm_state=state)
+            assert result.iterations == 6
+            assert result.trace[-1].message_floats == (72 if algorithm == "fd-admm" else 0)
+
+
 def test_warm_state_of_another_algorithm_is_rejected(small_instance):
     cfg = SolverConfig(penalty=1.0, tol_primal=0.0, tol_dual=0.0, max_iters=2)
     states = {name: solve(small_instance, algorithm=name, config=cfg).state for name in ALGORITHMS}
