@@ -26,7 +26,8 @@ group's part of the grid.  The total covers the three solver groups only,
 so it compares with digests printed before the simulator group existed.
 
 The served mean gaps of ``run_dynamic`` are left out: they score the
-equal-split start, which is scaled to exact feasibility, not a solver output.
+equal-split start, whose link shares are projected to exact feasibility,
+not a solver output.
 
 Example:
     PYTHONPATH=src python scripts/output_digest.py

@@ -68,6 +68,33 @@ class Incidence:
         np.cumsum(self.link_starts[links + 1] - self.link_starts[links], out=starts[1:])
         return np.flatnonzero(chosen[self.copy_link]), starts
 
+    @cached_property
+    def colour_classes(self) -> list[np.ndarray]:
+        """Greedy colouring of the link-conflict graph, one ascending link array per colour.
+
+        Two links conflict when a route traverses both.  Links are coloured
+        in id order, each with the lowest colour that no conflicting link
+        holds yet, so no two links of one class share a route.  Links that
+        carry no route are left out.  Computed once per incidence.
+        """
+        # per route, bit c set: a link of colour c carries the route
+        taken = [0] * (int(self.copy_route.max(initial=-1)) + 1)
+        classes: list[list[int]] = []
+        for j in range(self.link_starts.size - 1):
+            members = self.members(j).tolist()
+            if not members:
+                continue
+            used = 0
+            for r in members:
+                used |= taken[r]
+            colour = (~used & (used + 1)).bit_length() - 1  # lowest clear bit
+            if colour == len(classes):
+                classes.append([])
+            classes[colour].append(j)
+            for r in members:
+                taken[r] |= 1 << colour
+        return [np.array(links, dtype=np.intp) for links in classes]
+
 
 @dataclass(frozen=True)
 class Instance:

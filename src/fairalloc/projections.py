@@ -10,20 +10,23 @@ tests check it against an independent 1-D sort-and-threshold routine
 (``tests/oracles.py``) that shares no code with the package.
 
 Projection onto the intersection of all link sets uses Dykstra's method with
-one correction term per set.  Each cycle visits the links by colour class of
-the link-conflict graph, then the nonnegative orthant: the links of a class
-share no route, so one batched call projects the whole class.  Dykstra's
-method converges to the projection for any fixed cyclic order (Boyle &
-Dykstra, "A method for finding projections onto the intersection of convex
-sets in Hilbert spaces", 1986).  It stops once a cycle moves neither the
-iterate nor any correction term by more than a tenth of the tolerance; the
-iterate alone can stall far from the projection while the corrections still
-move (Birgin & Raydan, "Robust stopping criteria for Dykstra's algorithm",
-SIAM J. Sci. Comput. 2005).
+one correction term per link.  Each cycle visits the links by colour class of
+the link-conflict graph (``Incidence.colour_classes``, computed once per
+instance): the links of a class share no route, so one batched call projects
+the whole class.  No separate set ``{x >= 0}`` is visited: every link set
+already holds ``x >= 0`` and every route lies on a link, so the link sets
+alone have the same intersection, and after each sweep every coordinate is a
+projector output.  Dykstra's method converges to the projection for any
+fixed cyclic order of the sets (Boyle & Dykstra, "A method for finding
+projections onto the intersection of convex sets in Hilbert spaces", 1986).
+It stops once a cycle moves neither the iterate nor any correction term by
+more than a tenth of the tolerance; the iterate alone can stall far from the
+projection while the corrections still move (Birgin & Raydan, "Robust
+stopping criteria for Dykstra's algorithm", SIAM J. Sci. Comput. 2005).
 
-Every projected point is exactly feasible in floating point: after the
-threshold step a repair pass removes any last-ulp excess, measured with the
-same canonical summation used by feasibility checks elsewhere.
+Every link the kernel projects fits its cap exactly in floating point: after
+the threshold step a repair pass removes any last-ulp excess, measured with
+the same canonical summation used by feasibility checks elsewhere.
 """
 
 from __future__ import annotations
@@ -145,33 +148,6 @@ def _enforce_caps(
     raise ProjectionError("could not repair rounding excess")
 
 
-def link_colour_classes(instance: Instance) -> list[np.ndarray]:
-    """Greedy colouring of the link-conflict graph, one ascending link array per colour.
-
-    Two links conflict when a route traverses both.  Links are coloured in id
-    order, each with the lowest colour that no conflicting link holds yet, so
-    no two links of one class share a route.  Links that carry no route are
-    left out.
-    """
-    inc = instance.incidence
-    taken = [0] * instance.n_routes  # bit c set: a link of colour c carries the route
-    classes: list[list[int]] = []
-    for j in range(instance.n_links):
-        members = inc.members(j).tolist()
-        if not members:
-            continue
-        used = 0
-        for r in members:
-            used |= taken[r]
-        colour = (~used & (used + 1)).bit_length() - 1  # lowest clear bit
-        if colour == len(classes):
-            classes.append([])
-        classes[colour].append(j)
-        for r in members:
-            taken[r] |= 1 << colour
-    return [np.array(links, dtype=np.intp) for links in classes]
-
-
 def _sup(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
@@ -184,18 +160,19 @@ def project_polyhedron(
 ) -> np.ndarray:
     """Dykstra's alternating projection onto ``{x >= 0, loads <= capacities}``.
 
-    Each cycle visits the colour classes of :func:`link_colour_classes` in
-    order, one :class:`BatchedLinkProjector` call per class, then the
-    nonnegative orthant; every set is visited offset by its own correction
-    term.  The result is bit-identical to visiting the links one at a time
-    in class order with :func:`project_capped_simplex`, and any fixed cyclic
-    order converges to the projection (Boyle & Dykstra, 1986).
+    Each cycle visits the instance's colour classes in order, one
+    :class:`BatchedLinkProjector` call per class, each link offset by its own
+    correction term; the link sets hold ``x >= 0``, so no separate set
+    ``{x >= 0}`` is needed.  The result is bit-identical to visiting the
+    links one at a time in class order with :func:`project_capped_simplex`,
+    and any fixed cyclic order converges to the projection (Boyle & Dykstra,
+    1986).
 
     Stops after the first cycle in which the iterate and every correction
-    term, link and orthant, moved at most ``tolerance/10`` (sup norm): the
-    iterate alone can stand still for a cycle far from the projection while
-    the corrections still move (Birgin & Raydan, 2005).  Raises
-    :class:`ProjectionError` for a point that is not finite, and
+    term moved at most ``tolerance/10`` (sup norm): the iterate alone can
+    stand still for a cycle far from the projection while the corrections
+    still move (Birgin & Raydan, 2005).  Raises :class:`ProjectionError` for
+    a point that is not finite or an instance with a route on no link, and
     :class:`DykstraError` with the last iterate and the last cycle's largest
     move once ``max_cycles`` is exhausted.
     """
@@ -205,11 +182,13 @@ def project_polyhedron(
         raise ProjectionError(f"point has shape {y.shape}, expected ({instance.n_routes},)")
     if not np.all(np.isfinite(y)):
         raise ProjectionError("point must be finite")
+    if not np.bincount(inc.copy_route, minlength=instance.n_routes).all():
+        raise ProjectionError("every route must traverse at least one link")
     # each class's copies are one stretch of the flat correction terms; within
     # a class the routes are distinct, so gathering and scattering is collision-free
     classes = []
     offset = 0
-    for links in link_colour_classes(instance):
+    for links in inc.colour_classes:
         copies, starts = inc.link_copies(links)
         stretch = slice(offset, offset + copies.size)
         projector = BatchedLinkProjector(starts, instance.capacities[links])
@@ -217,7 +196,6 @@ def project_polyhedron(
         offset += copies.size
     x = y.copy()
     corrections = np.zeros(offset)
-    orthant_correction = np.zeros_like(x)
     stop = tolerance / 10.0
     residual = np.inf
     for _ in range(max_cycles):
@@ -229,16 +207,7 @@ def project_polyhedron(
             projector.apply(w, out=z)
             corrections[stretch] = w - z
             x[routes] = z
-        w = x + orthant_correction
-        z = np.maximum(w, 0.0)
-        new_orthant_correction = w - z
-        residual = max(
-            _sup(z - previous),
-            _sup(corrections - previous_corrections),
-            _sup(new_orthant_correction - orthant_correction),
-        )
-        orthant_correction = new_orthant_correction
-        x = z
+        residual = max(_sup(x - previous), _sup(corrections - previous_corrections))
         if residual <= stop:
             return x
     raise DykstraError(

@@ -14,6 +14,14 @@ A dual-gradient baseline (``lagr``) with the classic multiplicative step rule
 is included for comparison; its iterates are generally infeasible until
 convergence.
 
+fd-admm and c-admm serve exactly feasible allocations by one rule: one
+:class:`BatchedLinkProjector` call projects every link's copies, and each
+route takes the minimum of its copies, which is at most each copy, so every
+load fits.  fd-admm's :func:`consensus_round` applies it to its copies each
+round, :func:`cadmm_step` to ``z`` spread over the copies, and
+:func:`equal_split_extract` (served before any round; c-admm's start) to
+each link's equal share of its capacity.
+
 One loop in ``solve`` runs all three.  Each state dataclass (``FdState``,
 ``CadmmState``, ``LagrState``) carries its ``ConsensusIndex`` and exposes
 the allocation it deploys (``allocation``) and its penalty-scaled dual
@@ -263,11 +271,11 @@ def initial_state(index: ConsensusIndex, penalty: PenaltyState) -> FdState:
     """Equal-split start: each link divides its capacity among member routes.
 
     All duals start at zero, which pins the all-copy dual sum of every route
-    at zero for the whole run.  ``C/n`` summed ``n`` times can round a few
-    ulps above ``C``, so the iteration-0 extract may exceed a cap by that
-    much; ``solve`` never deploys it, only the extracts after each round's
-    projection, which are exactly feasible (:func:`equal_split_extract` is
-    the exactly feasible form of this start).
+    at zero for the whole run.  The copies are not projected, and ``C/n``
+    summed ``n`` times can round a few ulps above ``C``, so the iteration-0
+    extract may exceed a cap by that much.  ``solve`` never serves it: every
+    round projects the copies before it takes the minima, and
+    :func:`equal_split_extract` is this start's projected extract.
     """
     link_values = _equal_split_copies(index.instance)
     sent_values, sent_mins = group_reductions(index.layout, link_values)
@@ -340,47 +348,38 @@ class CadmmState:
         return (self.dual,)
 
 
-def _scale_to_feasible(instance: Instance, point: np.ndarray) -> np.ndarray:
-    """Uniformly shrink a point until every link load fits its capacity exactly."""
-    x = np.maximum(np.asarray(point, dtype=np.float64), 0.0)
-    caps = instance.capacities
-    loads = link_loads(instance, x)
-    ratio = float(np.max(loads / caps, initial=1.0))
-    if ratio > 1.0:
-        x = x / ratio
-    for _ in range(64):
-        if np.all(link_loads(instance, x) <= caps):
-            return x
-        x = x * (1.0 - 4e-16)
-    raise SolverError("could not scale point to exact feasibility")  # pragma: no cover
+def _feasible_extract(instance: Instance, per_copy: np.ndarray) -> np.ndarray:
+    """Each route's minimum over its links of ``per_copy`` (one value per
+    incidence copy) after one projection of every link's copies: the one
+    rule that makes a point exactly feasible (module docstring)."""
+    inc = instance.incidence
+    projected = np.empty(inc.n_copies)
+    BatchedLinkProjector(inc.link_starts, instance.capacities).apply(per_copy, out=projected)
+    return route_minima(instance, projected)
 
 
 def equal_split_extract(instance: Instance) -> np.ndarray:
     """The allocation served before any round: each link divides its
-    capacity equally among its routes and every route takes the minimum over
-    its links, scaled to exact feasibility (``C/n`` summed ``n`` times can
-    round above ``C``).  Strictly positive."""
-    split = route_minima(instance, _equal_split_copies(instance))
+    capacity equally among its routes, the shares are projected (``C/n``
+    summed ``n`` times can round above ``C``) and every route takes the
+    minimum over its links.  Strictly positive and exactly feasible."""
+    split = _feasible_extract(instance, _equal_split_copies(instance))
     if np.isinf(split).any():
         raise SolverError("every route must traverse at least one link")
-    return _scale_to_feasible(instance, split)
+    return split
 
 
 def initial_cadmm_state(index: ConsensusIndex, penalty: PenaltyState) -> CadmmState:
-    """Equal-split start, unscaled: its extract is replaced after the first step."""
-    split = route_minima(index.instance, _equal_split_copies(index.instance))
+    """Start from the feasible equal split: ``x``, ``z`` and the extract."""
+    split = equal_split_extract(index.instance)
     return CadmmState(
-        index=index,
-        x=split.copy(),
-        z=split.copy(),
-        dual=np.zeros(index.n_routes),
-        extract=split,
-        penalty=penalty,
+        index=index, x=split.copy(), z=split.copy(), dual=np.zeros(index.n_routes), extract=split, penalty=penalty
     )
 
 
 def cadmm_step(state: CadmmState, instance: Instance, objective: FairnessObjective) -> CadmmState:
-    """One iteration: prox of the utility, project onto the polyhedron, dual step."""
+    """One iteration: prox of the utility, project onto the polyhedron, dual
+    step, then the route-minimum extract of the new ``z``."""
     lam = state.penalty.value
     x = prox_values(objective.alpha, objective.weights, state.z - state.dual, lam, start=state.x)
     z = project_polyhedron(instance, x + state.dual, tolerance=DYKSTRA_TOL)
@@ -391,7 +390,7 @@ def cadmm_step(state: CadmmState, instance: Instance, objective: FairnessObjecti
     )
     state.x = x
     state.z = z
-    state.extract = _scale_to_feasible(instance, z)
+    state.extract = _feasible_extract(instance, z[instance.incidence.copy_route])
     state.iteration += 1
     return state
 

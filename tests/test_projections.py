@@ -4,13 +4,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fairalloc import solvers
-from fairalloc.model import Instance, Link, Route, generate_random
+from fairalloc.model import Incidence, Instance, Link, Route, generate_random
 from fairalloc.numerics import canonical_sum
 from fairalloc.projections import (
     BatchedLinkProjector,
     DykstraError,
     ProjectionError,
-    link_colour_classes,
     project_capped_simplex,
     project_polyhedron,
 )
@@ -173,6 +172,13 @@ def test_dykstra_rejects_non_finite_point():
             project_polyhedron(inst, np.array([1.0, bad, 0.5]))
 
 
+def test_dykstra_rejects_route_without_links():
+    # nothing would move such a route's coordinate: -1 would come back as is
+    inst = Instance(links=(Link(0, 1.0),), routes=(Route(0, (0,)), Route(1, ())))
+    with pytest.raises(ProjectionError, match="at least one link"):
+        project_polyhedron(inst, np.array([0.5, -1.0]))
+
+
 def _colour_cases():
     # 30 links for 6 routes leave links untraversed and links with one route
     cases = [generate_random(seed=s, n_nodes=12, n_links=30, n_routes=6, alpha=1.0) for s in range(10)]
@@ -188,7 +194,7 @@ def _colour_cases():
 
 def test_link_colour_classes_partition_route_disjoint():
     for inst in _colour_cases():
-        classes = link_colour_classes(inst)
+        classes = inst.incidence.colour_classes
         carrying = {j for r in inst.routes for j in r.links}
         coloured = [int(j) for links in classes for j in links]
         assert sorted(coloured) == sorted(carrying)  # each carrying link exactly once
@@ -198,10 +204,22 @@ def test_link_colour_classes_partition_route_disjoint():
             assert len(routes) == len(set(routes)), "two links of one class share a route"
 
 
+def test_instance_is_coloured_once(monkeypatch):
+    colourings = []
+    colour = Incidence.colour_classes.func
+    monkeypatch.setattr(Incidence.colour_classes, "func", lambda inc: colourings.append(inc) or colour(inc))
+    inst = generate_random(seed=3, n_nodes=10, n_links=16, n_routes=20, alpha=1.0)
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        project_polyhedron(inst, rng.uniform(-2.0, 8.0, size=inst.n_routes))
+    solvers.solve(inst, None, "c-admm", config=solvers.SolverConfig(max_iters=3))
+    assert len(colourings) == 1 and colourings[0] is inst.incidence
+
+
 def test_dykstra_matches_sequential_oracle_bitwise():
     rng = np.random.default_rng(11)
     for s, inst in enumerate(_colour_cases()):
-        order = [int(j) for links in link_colour_classes(inst) for j in links]
+        order = [int(j) for links in inst.incidence.colour_classes for j in links]
         y = rng.uniform(-2.0, 8.0, size=inst.n_routes)
         tol = (1e-9, 1e-10)[s % 2]
         got = project_polyhedron(inst, y, tolerance=tol)
