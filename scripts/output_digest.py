@@ -5,29 +5,32 @@ Runs a fixed grid on small seeded instances: fd-admm, c-admm and lagr with
 the adaptive and a fixed penalty, each cold and then warm-started (once at
 the same penalty, once at a different one, so the duals are rescaled);
 a converged fd-admm solve; ``reference_solution`` cold and warm; and
-``run_dynamic`` for all three algorithms.  It hashes every allocation,
+``run_dynamic`` for all three algorithms.  It hashes each instance's
+``equal_split_extract``, the start of every solver, and every allocation,
 best feasible point, solver-state array, iteration count and trace CSV
 (the bytes ``write_trace`` writes).  It prints one digest per algorithm
-group, then one over everything.  The fd-admm group holds fd-admm's own
-solves and every reference (``reference_solution`` and the per-event
-references of ``run_dynamic``, which fd-admm solves); the c-admm and lagr
-groups hold those algorithms' solves and ``run_dynamic`` traces.  The
-``simulator`` group runs the message-passing simulator for 20 rounds on three
-cases: one with a weight update injected after round 10, one whose
-partition gives every untraversed link to a domain that holds no route, and
-a balanced partition into 16 domains of one or two links each; it
-hashes the exported message-log CSV, the meter's per-pair and per-round
-counts, and the gathered link copies, enforced allocation and route
-replicas, then the report of ``measure_overhead`` over 20 rounds of the
-case (without the weight update): its rounds, predicted floats per round,
-metered total and sorted per-pair counts.  Two versions of the package
-that print the same digest for a group produce the same bits on that
-group's part of the grid.  The total covers the three solver groups only,
-so it compares with digests printed before the simulator group existed.
+group, then one over everything.  The fd-admm group holds the equal split
+(fd-admm's iteration-0 extract), fd-admm's own solves and every reference
+(``reference_solution`` and the per-event references of ``run_dynamic``,
+which fd-admm solves); the c-admm and lagr groups hold those algorithms'
+solves and ``run_dynamic`` traces.  The ``simulator`` group runs the
+message-passing simulator for 20 rounds on three cases: one with a weight
+update injected after round 10, one whose partition gives every untraversed
+link to a domain that holds no route, and a balanced partition into 16
+domains of one or two links each; it hashes the allocation the controllers
+enforce right after ``build_controllers``, the exported message-log CSV,
+the meter's per-pair and per-round counts, and the gathered link copies,
+enforced allocation and route replicas after the rounds, then the report of
+``measure_overhead`` over 20 rounds of the case (without the weight
+update): its rounds, predicted floats per round, metered total and sorted
+per-pair counts.  Two versions of the package that print the same digest
+for a group produce the same bits on that group's part of the grid.  The
+total covers the three solver groups only, so it compares with digests
+printed before the simulator group existed.
 
-The served mean gaps of ``run_dynamic`` are left out: they score the
-equal-split start, whose link shares are projected to exact feasibility,
-not a solver output.
+The served mean gaps of ``run_dynamic`` are left out.  They are scores,
+not outputs: the served points are the equal split, hashed here on its own,
+and best feasible points whose utilities the hashed traces already hold.
 
 Example:
     PYTHONPATH=src python scripts/output_digest.py
@@ -56,7 +59,7 @@ from fairalloc.simulator import (
     measure_overhead,
     run_round,
 )
-from fairalloc.solvers import ALGORITHMS, SolverConfig, reference_solution, solve
+from fairalloc.solvers import ALGORITHMS, SolverConfig, equal_split_extract, reference_solution, solve
 from fairalloc.trace import write_trace
 
 
@@ -93,6 +96,7 @@ def entries(workdir: Path):
     ]
     for i, inst in enumerate(instances):
         part = build_partition(inst, balanced_assignment(inst, 3))
+        yield "fd-admm", f"i{i}.equal_split", _array(equal_split_extract(inst))
         for algorithm in ALGORITHMS:
             for penalty in ("adaptive", 0.7):
                 cfg = SolverConfig(penalty=penalty, tol_primal=0.0, tol_dual=0.0, max_iters=25)
@@ -140,6 +144,7 @@ def simulator_entries(workdir: Path):
     for name, inst, part, update_at in cases:
         objective = default_objective(inst)
         controllers = build_controllers(inst, part, objective, penalty=0.8)
+        yield f"{name}.start", _array(gather_allocation(controllers, inst.n_routes))
         meter = OverheadMeter()
         log = []
         for k in range(20):

@@ -192,10 +192,13 @@ def link_loads(instance: Instance, allocation: np.ndarray) -> np.ndarray:
     """Per-link carried load ``sum_{r: j in r} x_r``, empty links load 0.
 
     Uses the canonical segmented reduction so a load compared against the same
-    capacity elsewhere in the package rounds identically.
+    capacity elsewhere in the package rounds identically.  Raises
+    :class:`ModelError` unless ``allocation`` has shape ``(n_routes,)``.
     """
     inc = instance.incidence
     x = np.asarray(allocation, dtype=np.float64)
+    if x.shape != (instance.n_routes,):
+        raise ModelError(f"allocation of shape {x.shape} for {instance.n_routes} routes")
     loads = np.zeros(instance.n_links, dtype=np.float64)
     if inc.n_copies == 0:
         return loads
@@ -225,7 +228,8 @@ def carried_rates(instance: Instance, offered: np.ndarray) -> np.ndarray:
     fluid model of per-link policing.  The map is the identity on feasible
     allocations.  In exact arithmetic the result fits every cap; in float64
     the rounded grants and load sums can leave a load a few ulps above its
-    cap, so the result need not pass :func:`is_feasible`.
+    cap, so the result need not pass :func:`is_feasible`.  Raises
+    :class:`ModelError` unless ``offered`` has shape ``(n_routes,)``.
     """
     x = np.asarray(offered, dtype=np.float64)
     loads = link_loads(instance, x)

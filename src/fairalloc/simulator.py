@@ -10,16 +10,15 @@ Node layout.  A node's :class:`~fairalloc.solvers.RoundLayout` is
 ``ConsensusIndex.round_layout`` of its domain's links, the function that
 also lays out every link for the vectorized solver.  The node keeps its link
 copies in one flat array ``copies`` in incidence order (links ascending,
-member routes ascending) with the duals in a parallel array;
-``link_values[j]`` and ``link_duals[j]`` are views into them.  Each local
-route has one slot per holder domain, self included, in ascending domain
-order (the solver's (route, domain) groups), in two arrays: ``aggregates``
-(a holder's sum over its copies of the route) and ``minima`` (a holder's
-minimum over them).  A round takes the enforced allocation as the per-route
-minimum over the slots, runs the solver's round kernel
-:func:`~fairalloc.solvers.consensus_round` on the node's arrays, and writes
-the node's new sum and minimum, over its copies in (route, link) order, into
-its own slots.
+member routes ascending), ``link_values[j]`` a view into it, and the duals in
+a parallel array.  Each local route has one slot per holder domain, self
+included, in ascending domain order (the solver's (route, domain) groups),
+in two arrays: ``aggregates`` (a holder's sum over its copies of the route)
+and ``minima`` (a holder's minimum over them).  A round takes the enforced
+allocation as the per-route minimum over the slots, runs the solver's round
+kernel :func:`~fairalloc.solvers.consensus_round` on the node's arrays, and
+writes the node's new sum and minimum, over its copies in (route, link)
+order, into its own slots.
 
 Messages.  A node sends one :class:`PeerMessage` per peer domain it shares
 routes with, carrying the shared routes in ascending order with two floats
@@ -34,6 +33,7 @@ the solver sums in the same place, and every step of the kernel treats each
 segment, link and route on its own.  The only schedule difference is that a
 controller applies the enforced feasible minimum one round after the
 solver's eager extract, because the peer minima travel inside messages.
+Both start at the projected equal split, feasible from round 0 on.
 """
 
 from __future__ import annotations
@@ -117,12 +117,10 @@ class ControllerNode:
     consensus: np.ndarray
     feasible: np.ndarray          # enforced allocation, lags the solver by one round
     link_values: dict[int, np.ndarray] = field(init=False)  # views into ``copies``
-    link_duals: dict[int, np.ndarray] = field(init=False)   # views into ``duals``
 
     def __post_init__(self):
-        bounds = list(zip(self.links, self.layout.link_starts[:-1], self.layout.link_starts[1:]))
+        bounds = zip(self.links, self.layout.link_starts[:-1], self.layout.link_starts[1:])
         self.link_values = {j: self.copies[lo:hi] for j, lo, hi in bounds}
-        self.link_duals = {j: self.duals[lo:hi] for j, lo, hi in bounds}
 
     def compute_round(self, round_index: int) -> list[PeerMessage]:
         """Lines of one synchronous round; returns one message per peer."""
@@ -149,10 +147,10 @@ def build_controllers(
 ) -> list[ControllerNode]:
     """Controllers in the solver's initial state, every slot pre-seeded.
 
-    The slots start from the equal-split aggregates and minima of
-    ``initial_state``, so round ``k`` of the simulation consumes exactly the
-    aggregates the vectorized solver consumes at iteration ``k``.
-    """
+    Each node is a slice of ``initial_state``, the projected equal split, so
+    round ``k`` consumes exactly the aggregates the vectorized solver
+    consumes at iteration ``k`` and the enforced allocation is feasible
+    before any round."""
     if not (penalty > 0 and np.isfinite(penalty)):
         raise SimulationError(f"penalty must be finite and > 0, got {penalty}")
     if objective.weights.size != instance.n_routes:
@@ -247,11 +245,11 @@ def run_round(
 def inject_weight_update(controllers: list[ControllerNode], weights: np.ndarray) -> None:
     """Swap in new positive route weights without touching solver state."""
     w = np.asarray(weights, dtype=np.float64)
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise SimulationError("weights must be positive and finite")
+    # every route lies on some node's link, so the highest id held is the last one
+    n_routes = 1 + max((int(node.layout.routes[-1]) for node in controllers if node.layout.routes.size), default=-1)
+    if w.shape != (n_routes,) or np.any(w <= 0) or not np.all(np.isfinite(w)):
+        raise SimulationError(f"weights must be positive and finite, one per route ({n_routes}); got shape {w.shape}")
     for node in controllers:
-        if node.layout.routes.size and int(node.layout.routes.max()) >= w.size:
-            raise SimulationError("weight vector shorter than the highest route id")
         node.weights = w[node.layout.routes]
 
 

@@ -18,9 +18,10 @@ fd-admm and c-admm serve exactly feasible allocations by one rule: one
 :class:`BatchedLinkProjector` call projects every link's copies, and each
 route takes the minimum of its copies, which is at most each copy, so every
 load fits.  fd-admm's :func:`consensus_round` applies it to its copies each
-round, :func:`cadmm_step` to ``z`` spread over the copies, and
-:func:`equal_split_extract` (served before any round; c-admm's start) to
-each link's equal share of its capacity.
+round and :func:`cadmm_step` to ``z`` spread over the copies.  The start of
+both, and of every simulated domain controller, is the rule applied to each
+link's equal share of its capacity: :func:`initial_state` seeds from those
+projected copies, and :func:`equal_split_extract` is their extract.
 
 One loop in ``solve`` runs all three.  Each state dataclass (``FdState``,
 ``CadmmState``, ``LagrState``) carries its ``ConsensusIndex`` and exposes
@@ -261,21 +262,23 @@ class FdState:
 
 
 def _equal_split_copies(instance: Instance) -> np.ndarray:
-    """Per-link copies, incidence order: each link's capacity over its routes."""
+    """Per-link copies, incidence order: each link's capacity over its
+    routes, projected by one call over every link (``C/n`` summed ``n``
+    times can round above ``C``)."""
     inc = instance.incidence
     sizes = np.diff(inc.link_starts).astype(np.float64)
-    return instance.capacities[inc.copy_link] / sizes[inc.copy_link]
+    copies = instance.capacities[inc.copy_link] / sizes[inc.copy_link]
+    BatchedLinkProjector(inc.link_starts, instance.capacities).apply(copies, out=copies)
+    return copies
 
 
 def initial_state(index: ConsensusIndex, penalty: PenaltyState) -> FdState:
-    """Equal-split start: each link divides its capacity among member routes.
+    """Equal-split start: the projected equal-split copies, and from them the
+    slot sums and minima, the extract (:func:`equal_split_extract`, bit for
+    bit), the route values and the consensus.
 
     All duals start at zero, which pins the all-copy dual sum of every route
-    at zero for the whole run.  The copies are not projected, and ``C/n``
-    summed ``n`` times can round a few ulps above ``C``, so the iteration-0
-    extract may exceed a cap by that much.  ``solve`` never serves it: every
-    round projects the copies before it takes the minima, and
-    :func:`equal_split_extract` is this start's projected extract.
+    at zero for the whole run.
     """
     link_values = _equal_split_copies(index.instance)
     sent_values, sent_mins = group_reductions(index.layout, link_values)
@@ -348,22 +351,11 @@ class CadmmState:
         return (self.dual,)
 
 
-def _feasible_extract(instance: Instance, per_copy: np.ndarray) -> np.ndarray:
-    """Each route's minimum over its links of ``per_copy`` (one value per
-    incidence copy) after one projection of every link's copies: the one
-    rule that makes a point exactly feasible (module docstring)."""
-    inc = instance.incidence
-    projected = np.empty(inc.n_copies)
-    BatchedLinkProjector(inc.link_starts, instance.capacities).apply(per_copy, out=projected)
-    return route_minima(instance, projected)
-
-
 def equal_split_extract(instance: Instance) -> np.ndarray:
-    """The allocation served before any round: each link divides its
-    capacity equally among its routes, the shares are projected (``C/n``
-    summed ``n`` times can round above ``C``) and every route takes the
-    minimum over its links.  Strictly positive and exactly feasible."""
-    split = _feasible_extract(instance, _equal_split_copies(instance))
+    """The allocation served before any round: every route's minimum over
+    its links of the projected equal-split copies.  Strictly positive and
+    exactly feasible."""
+    split = route_minima(instance, _equal_split_copies(instance))
     if np.isinf(split).any():
         raise SolverError("every route must traverse at least one link")
     return split
@@ -379,7 +371,8 @@ def initial_cadmm_state(index: ConsensusIndex, penalty: PenaltyState) -> CadmmSt
 
 def cadmm_step(state: CadmmState, instance: Instance, objective: FairnessObjective) -> CadmmState:
     """One iteration: prox of the utility, project onto the polyhedron, dual
-    step, then the route-minimum extract of the new ``z``."""
+    step, then the extract of the new ``z``: its link copies projected, and
+    each route's minimum (module docstring)."""
     lam = state.penalty.value
     x = prox_values(objective.alpha, objective.weights, state.z - state.dual, lam, start=state.x)
     z = project_polyhedron(instance, x + state.dual, tolerance=DYKSTRA_TOL)
@@ -390,7 +383,10 @@ def cadmm_step(state: CadmmState, instance: Instance, objective: FairnessObjecti
     )
     state.x = x
     state.z = z
-    state.extract = _feasible_extract(instance, z[instance.incidence.copy_route])
+    inc = instance.incidence
+    copies = z[inc.copy_route]
+    BatchedLinkProjector(inc.link_starts, instance.capacities).apply(copies, out=copies)
+    state.extract = route_minima(instance, copies)
     state.iteration += 1
     return state
 

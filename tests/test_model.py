@@ -109,6 +109,16 @@ def test_link_loads_and_feasibility(tiny_instance):
     assert not is_feasible(tiny_instance, np.array([-0.1, 0.5]))
 
 
+def test_loads_and_carried_rates_reject_a_wrong_shape(tiny_instance):
+    # tiny_instance has 2 routes; a longer vector must not load its head
+    for wrong in (np.ones(1), np.ones(3), np.ones((1, 2)), np.ones((2, 2))):
+        with pytest.raises(ModelError, match="for 2 routes"):
+            link_loads(tiny_instance, wrong)
+        with pytest.raises(ModelError, match="for 2 routes"):
+            carried_rates(tiny_instance, wrong)
+        assert not is_feasible(tiny_instance, wrong)
+
+
 def test_partition_structure(small_instance):
     part = build_partition(small_instance, balanced_assignment(small_instance, 3))
     # the link->domain map is the whole record; the index derives the rest

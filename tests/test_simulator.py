@@ -154,8 +154,25 @@ def test_inject_weight_update():
         np.testing.assert_array_equal(node.weights, new_w[node.layout.routes])
     with pytest.raises(SimulationError, match="positive"):
         inject_weight_update(nodes, np.zeros(inst.n_routes))
-    with pytest.raises(SimulationError, match="shorter"):
-        inject_weight_update(nodes, np.ones(2))
+    for wrong in (np.ones(2), np.ones(inst.n_routes + 6), np.ones((1, inst.n_routes))):
+        with pytest.raises(SimulationError, match=rf"one per route \({inst.n_routes}\)"):
+            inject_weight_update(nodes, wrong)
+    # a rejected vector leaves the weights as they were
+    for node in nodes:
+        np.testing.assert_array_equal(node.weights, new_w[node.layout.routes])
+
+
+def test_controllers_serve_a_feasible_allocation_from_the_start():
+    """On the instance of acceptance criterion 9, where the unprojected equal
+    split is over a cap, freshly built controllers and the first rounds
+    enforce an exactly feasible allocation."""
+    inst = generate_random(seed=0, n_nodes=100, n_links=300, n_routes=200, capacity_range=(5.0, 50.0), alpha=1.0)
+    part = build_partition(inst, balanced_assignment(inst, 4))
+    nodes = build_controllers(inst, part, default_objective(inst), penalty=1.0)
+    assert is_feasible(inst, gather_allocation(nodes, inst.n_routes))
+    for k in range(3):
+        run_round(nodes, k)
+        assert is_feasible(inst, gather_allocation(nodes, inst.n_routes)), k
 
 
 def test_weight_update_matches_vectorized_restart():

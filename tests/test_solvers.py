@@ -50,6 +50,17 @@ def test_initial_state_is_feasible_equal_split(small_instance):
         s, e = idx.layout.link_starts[j], idx.layout.link_starts[j + 1]
         if e > s:
             assert canonical_sum(state.link_values[s:e]) <= small_instance.capacities[j]
+    # on the instance of acceptance criterion 9 the unprojected equal split is
+    # over a cap; the start is the projected split, the one served, under
+    # every partition
+    inst = generate_random(seed=0, n_nodes=100, n_links=300, n_routes=200, capacity_range=(5.0, 50.0), alpha=1.0)
+    split = equal_split_extract(inst)
+    for domains in (1, 4, 16):
+        idx = ConsensusIndex(inst, build_partition(inst, balanced_assignment(inst, domains)))
+        state = initial_state(idx, PenaltyState(value=1.0, frozen=True))
+        assert is_feasible(inst, state.extract), domains
+        assert np.array_equal(state.extract, split), domains
+        assert np.array_equal(state.route_values, split) and np.array_equal(state.consensus, split), domains
 
 
 def test_single_route_fixed_point():
