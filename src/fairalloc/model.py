@@ -53,10 +53,6 @@ class Incidence:
     def n_copies(self) -> int:
         return int(self.copy_route.size)
 
-    def members(self, link: int) -> np.ndarray:
-        lo, hi = self.link_starts[link], self.link_starts[link + 1]
-        return self.copy_route[lo:hi]
-
     def link_copies(self, links: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The incidence positions of the copies of ``links`` (ascending),
         link by link, and where each link's copies start among them, with
@@ -69,31 +65,22 @@ class Incidence:
         return np.flatnonzero(chosen[self.copy_link]), starts
 
     @cached_property
-    def colour_classes(self) -> list[np.ndarray]:
-        """Greedy colouring of the link-conflict graph, one ascending link array per colour.
+    def link_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every ordered pair of links one route traverses, with that route.
 
-        Two links conflict when a route traverses both.  Links are coloured
-        in id order, each with the lowest colour that no conflicting link
-        holds yet, so no two links of one class share a route.  Links that
-        carry no route are left out.  Computed once per incidence.
+        Returns the flat index ``j * n_links + k`` of each pair ``(j, k)``
+        (``j == k`` included) and the route of each pair, so that
+        ``np.bincount(index, weights=w[route], minlength=n_links**2)`` is
+        ``A diag(w) A^T`` for the link-route incidence matrix ``A``.
+        Computed once per incidence.
         """
-        # per route, bit c set: a link of colour c carries the route
-        taken = [0] * (int(self.copy_route.max(initial=-1)) + 1)
-        classes: list[list[int]] = []
-        for j in range(self.link_starts.size - 1):
-            members = self.members(j).tolist()
-            if not members:
-                continue
-            used = 0
-            for r in members:
-                used |= taken[r]
-            colour = (~used & (used + 1)).bit_length() - 1  # lowest clear bit
-            if colour == len(classes):
-                classes.append([])
-            classes[colour].append(j)
-            for r in members:
-                taken[r] |= 1 << colour
-        return [np.array(links, dtype=np.intp) for links in classes]
+        n_links = self.link_starts.size - 1
+        route_links: dict[int, list[int]] = {}
+        for r, j in zip(self.copy_route.tolist(), self.copy_link.tolist()):
+            route_links.setdefault(r, []).append(j)
+        index = [j * n_links + k for links in route_links.values() for j in links for k in links]
+        route = [r for r, links in route_links.items() for _ in range(len(links) ** 2)]
+        return np.array(index, dtype=np.intp), np.array(route, dtype=np.intp)
 
 
 @dataclass(frozen=True)

@@ -9,32 +9,29 @@ the last bit.  :func:`project_capped_simplex` is its one-link call.  The
 tests check it against an independent 1-D sort-and-threshold routine
 (``tests/oracles.py``) that shares no code with the package.
 
-Projection onto the intersection of all link sets uses Dykstra's method with
-one correction term per link.  Each cycle visits the links by colour class of
-the link-conflict graph (``Incidence.colour_classes``, computed once per
-instance): the links of a class share no route, so one batched call projects
-the whole class.  No separate set ``{x >= 0}`` is visited: every link set
-already holds ``x >= 0`` and every route lies on a link, so the link sets
-alone have the same intersection, and after each sweep every coordinate is a
-projector output.  Dykstra's method converges to the projection for any
-fixed cyclic order of the sets (Boyle & Dykstra, "A method for finding
-projections onto the intersection of convex sets in Hilbert spaces", 1986).
-It stops once a cycle moves neither the iterate nor any correction term by
-more than a tenth of the tolerance; the iterate alone can stall far from the
-projection while the corrections still move (Birgin & Raydan, "Robust
-stopping criteria for Dykstra's algorithm", SIAM J. Sci. Comput. 2005).
-
 Every link the kernel projects fits its cap exactly in floating point: after
 the threshold step a repair pass removes any last-ulp excess, measured with
 the same canonical summation used by feasibility checks elsewhere.
+
+Projection onto the intersection of all link sets, the polyhedron
+``{Ax <= C, x >= 0}``, is a quadratic program with identity Hessian, solved
+by one primal-dual path-following loop (Boyd & Vandenberghe, *Convex
+Optimization*, 2004, section 11.7; Wright, *Primal-Dual Interior-Point
+Methods*, 1997).  Its Newton system is reduced to the links, and the link
+matrix is summed from the table of link pairs each route traverses
+(``Incidence.link_pairs``, computed once per instance).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import Instance
+from .model import Instance, route_minima
 from .numerics import segment_sums
+
+# step budget and stopping tolerance (relative) of project_polyhedron
+POLYHEDRON_STEPS = 200
+POLYHEDRON_TOL = 1e-12
 
 
 class ProjectionError(ValueError):
@@ -42,7 +39,9 @@ class ProjectionError(ValueError):
 
 
 class DykstraError(RuntimeError):
-    """Cycle budget exhausted; carries the last iterate and its residual."""
+    """:func:`project_polyhedron` ran out of steps; carries the last iterate
+    and its residual.  The name is kept because the benchmark and the CLI
+    catch it under this name."""
 
     def __init__(self, message: str, last_point: np.ndarray, residual: float):
         super().__init__(message)
@@ -148,33 +147,23 @@ def _enforce_caps(
     raise ProjectionError("could not repair rounding excess")
 
 
-def _sup(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+def project_polyhedron(instance: Instance, point: np.ndarray) -> np.ndarray:
+    """Euclidean projection of ``point`` onto ``{x >= 0, loads <= capacities}``.
 
+    Path-following on ``min ||x - y||^2 / 2`` subject to ``Ax + s = C`` and
+    ``x, s >= 0``, with multipliers ``mu`` for the links and ``nu`` for
+    ``x >= 0``.  It starts at half of each route's equal-split share with
+    every multiplier at 1, aims each Newton step at a tenth of the mean
+    complementarity and stops it 1% short of the boundary.  It stops once
+    the primal and dual residuals and the root of the mean complementarity
+    are at most ``POLYHEDRON_TOL * max(1, max |y|, max C)``, and returns ``x``
+    with every rate below its multiplier set to 0: a bound active at the
+    projection comes back as an exact 0.  A load may exceed its cap by the
+    tolerance; the solvers serve only extracts, which fit exactly.
 
-def project_polyhedron(
-    instance: Instance,
-    point: np.ndarray,
-    tolerance: float = 1e-9,
-    max_cycles: int = 100_000,
-) -> np.ndarray:
-    """Dykstra's alternating projection onto ``{x >= 0, loads <= capacities}``.
-
-    Each cycle visits the instance's colour classes in order, one
-    :class:`BatchedLinkProjector` call per class, each link offset by its own
-    correction term; the link sets hold ``x >= 0``, so no separate set
-    ``{x >= 0}`` is needed.  The result is bit-identical to visiting the
-    links one at a time in class order with :func:`project_capped_simplex`,
-    and any fixed cyclic order converges to the projection (Boyle & Dykstra,
-    1986).
-
-    Stops after the first cycle in which the iterate and every correction
-    term moved at most ``tolerance/10`` (sup norm): the iterate alone can
-    stand still for a cycle far from the projection while the corrections
-    still move (Birgin & Raydan, 2005).  Raises :class:`ProjectionError` for
-    a point that is not finite or an instance with a route on no link, and
-    :class:`DykstraError` with the last iterate and the last cycle's largest
-    move once ``max_cycles`` is exhausted.
+    Raises :class:`ProjectionError` for a point that is not finite or an
+    instance with a route on no link, and :class:`DykstraError` with the
+    last iterate and its residual after ``POLYHEDRON_STEPS`` steps.
     """
     inc = instance.incidence
     y = np.asarray(point, dtype=np.float64)
@@ -184,34 +173,50 @@ def project_polyhedron(
         raise ProjectionError("point must be finite")
     if not np.bincount(inc.copy_route, minlength=instance.n_routes).all():
         raise ProjectionError("every route must traverse at least one link")
-    # each class's copies are one stretch of the flat correction terms; within
-    # a class the routes are distinct, so gathering and scattering is collision-free
-    classes = []
-    offset = 0
-    for links in inc.colour_classes:
-        copies, starts = inc.link_copies(links)
-        stretch = slice(offset, offset + copies.size)
-        projector = BatchedLinkProjector(starts, instance.capacities[links])
-        classes.append((projector, stretch, inc.copy_route[copies]))
-        offset += copies.size
-    x = y.copy()
-    corrections = np.zeros(offset)
-    stop = tolerance / 10.0
-    residual = np.inf
-    for _ in range(max_cycles):
-        previous = x.copy()
-        previous_corrections = corrections.copy()
-        for projector, stretch, routes in classes:
-            w = x[routes] + corrections[stretch]
-            z = np.empty_like(w)
-            projector.apply(w, out=z)
-            corrections[stretch] = w - z
-            x[routes] = z
-        residual = max(_sup(x - previous), _sup(corrections - previous_corrections))
-        if residual <= stop:
+    n_links, n_routes = instance.n_links, instance.n_routes
+    if not n_routes:
+        return y.copy()
+    caps = instance.capacities
+    pairs, pair_routes = inc.link_pairs
+
+    def loads(v: np.ndarray) -> np.ndarray:  # A v
+        return np.bincount(inc.copy_link, weights=v[inc.copy_route], minlength=n_links)
+
+    def prices(u: np.ndarray) -> np.ndarray:  # A^T u
+        return np.bincount(inc.copy_route, weights=u[inc.copy_link], minlength=n_routes)
+
+    # x, s, mu and nu are views of one positive vector, so one step moves all four
+    split = route_minima(instance, caps[inc.copy_link] / np.bincount(inc.copy_link)[inc.copy_link])
+    point_and_duals = np.concatenate((0.5 * split, caps, np.ones(n_links + n_routes)))
+    x, s, mu, nu = np.split(point_and_duals, np.cumsum([n_routes, n_links, n_links]))
+    s -= loads(x)
+    tol = POLYHEDRON_TOL * max(1.0, np.max(np.abs(y)), np.max(caps))
+    for steps in range(POLYHEDRON_STEPS + 1):
+        r_dual = x - y + prices(mu) - nu
+        r_primal = loads(x) + s - caps
+        gap = (mu @ s + nu @ x) / (n_links + n_routes)
+        residual = max(np.max(np.abs(r_dual)), np.max(np.abs(r_primal)), np.sqrt(gap))
+        if residual <= tol:
+            x[nu > x] = 0.0
             return x
+        if steps == POLYHEDRON_STEPS:
+            break
+        target = 0.1 * gap
+        g = 1.0 + nu / x
+        r_x = target / x - nu - r_dual
+        r_s = s - target / mu - r_primal
+        # (A G^-1 A^T + diag(s/mu)) d_mu = A G^-1 r_x - r_s with G = diag(g); the
+        # ridge keeps it regular where tight links carry the same routes
+        k = np.bincount(pairs, weights=1.0 / g[pair_routes], minlength=n_links * n_links)
+        k[:: n_links + 1] += s / mu + 1e-12
+        d_mu = np.linalg.solve(k.reshape(n_links, n_links), loads(r_x / g) - r_s)
+        d_x = (r_x - prices(d_mu)) / g
+        direction = np.concatenate((d_x, target / mu - s - s / mu * d_mu, d_mu, target / x - nu - nu / x * d_x))
+        shrinking = direction < 0
+        to_boundary = np.min(-point_and_duals[shrinking] / direction[shrinking], initial=np.inf)
+        point_and_duals += min(1.0, 0.99 * to_boundary) * direction
     raise DykstraError(
-        f"no convergence within {max_cycles} cycles (last residual {residual:.3e})",
+        f"no convergence within {POLYHEDRON_STEPS} steps (last residual {residual:.3e})",
         last_point=x,
         residual=residual,
     )

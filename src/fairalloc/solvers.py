@@ -3,7 +3,7 @@
 Two ADMM variants share the same proximal and projection primitives:
 
 * ``c-admm`` — centralized splitting that alternates the utility prox with a
-  Dykstra projection onto the full capacity polyhedron;
+  path-following projection onto the full capacity polyhedron;
 * ``fd-admm`` — link-by-link consensus form that keeps one copy of a route's
   rate per traversed link plus one owned by the route itself, projects each
   link's copies onto that link's capped simplex independently, and averages.
@@ -66,8 +66,6 @@ from .projections import BatchedLinkProjector, project_polyhedron
 from .trace import TraceRow, overloaded_percentage, relative_gap
 
 ALGORITHMS = ("fd-admm", "c-admm", "lagr")
-# Dykstra stopping tolerance of every c-admm projection
-DYKSTRA_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -375,7 +373,7 @@ def cadmm_step(state: CadmmState, instance: Instance, objective: FairnessObjecti
     each route's minimum (module docstring)."""
     lam = state.penalty.value
     x = prox_values(objective.alpha, objective.weights, state.z - state.dual, lam, start=state.x)
-    z = project_polyhedron(instance, x + state.dual, tolerance=DYKSTRA_TOL)
+    z = project_polyhedron(instance, x + state.dual)
     state.dual += x - z
     state.residuals = Residuals(
         primal=float(np.max(np.abs(x - z))),

@@ -60,7 +60,6 @@ def test_incidence_layout(tiny_instance):
     inc = tiny_instance.incidence
     assert inc.link_starts.tolist() == [0, 2, 3]
     assert inc.copy_route.tolist() == [0, 1, 1]
-    assert inc.members(0).tolist() == [0, 1]
 
 
 def test_link_copies_of_a_link_selection():

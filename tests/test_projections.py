@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fairalloc import solvers
-from fairalloc.model import Incidence, Instance, Link, Route, generate_random
+from fairalloc import projections, solvers
+from fairalloc.model import Incidence, Instance, Link, Route, generate_random, link_loads
 from fairalloc.numerics import canonical_sum
 from fairalloc.projections import (
     BatchedLinkProjector,
@@ -129,13 +129,9 @@ def test_batched_matches_single_bitwise():
 
 def test_dykstra_single_link_equals_direct_projection():
     inst = generate_random(seed=3, n_nodes=4, n_links=3, n_routes=5, alpha=1.0)
-    # restrict to instances where each route is one link? No: single-link sets
-    # still interact through shared routes, so use a genuinely tiny instance.
     y = np.array([4.0, -1.0, 2.0, 0.3, 1.7])
-    x = project_polyhedron(inst, y, tolerance=1e-9)
+    x = project_polyhedron(inst, y)
     # necessary conditions of the Euclidean projection
-    from fairalloc.model import is_feasible, link_loads
-
     assert np.all(x >= -1e-12)
     assert np.all(link_loads(inst, x) <= inst.capacities + 1e-9)
     # any strictly feasible move toward y must not be possible: compare
@@ -153,14 +149,43 @@ def test_dykstra_exactness_on_one_link():
     # one link, two routes: polyhedron == capped simplex, answer in closed form
     inst = Instance(links=(Link(0, 2.0),), routes=(Route(0, (0,)), Route(1, (0,))))
     y = np.array([3.0, 1.0])
-    x = project_polyhedron(inst, y, tolerance=1e-10)
+    x = project_polyhedron(inst, y)
     np.testing.assert_allclose(x, [2.0, 0.0], atol=1e-9)
 
 
-def test_dykstra_error_carries_last_point():
+def test_polyhedron_newton_system_edge_cases():
+    # two tight links that carry the same route: the link matrix is singular
+    # without its ridge
+    inst = Instance(links=(Link(0, 1.0), Link(1, 1.0)), routes=(Route(0, (0, 1)),))
+    np.testing.assert_allclose(project_polyhedron(inst, np.array([3.0])), [1.0], rtol=1e-12)
+    three = tuple(Link(j, 1.0) for j in range(3))
+    inst = Instance(links=three, routes=(Route(0, (0, 1, 2)), Route(1, (0, 1, 2))))
+    np.testing.assert_allclose(project_polyhedron(inst, np.array([3.0, 3.0])), [0.5, 0.5], rtol=1e-12)
+    # a rate whose bound holds at the projection comes back as an exact 0
+    inst = Instance(links=(Link(0, 2.0),), routes=(Route(0, (0,)), Route(1, (0,))))
+    x = project_polyhedron(inst, np.array([3.0, 0.5]))
+    np.testing.assert_allclose(x[0], 2.0, rtol=1e-12)
+    assert x[1] == 0.0
+    # no routes: nothing to project
+    for links in ((Link(0, 2.0),), ()):
+        assert project_polyhedron(Instance(links=links, routes=()), np.empty(0)).shape == (0,)
+
+
+def test_polyhedron_projects_where_dykstra_stalls():
+    # Dykstra's method with a 1e-9 stop rule ran out of 100 000 cycles here
+    inst = generate_random(0, 25, 57, 31, capacity_range=(0.0016, 0.0018), alpha=1.0)
+    y = np.random.default_rng(0).uniform(-76.0, 76.0, 31)
+    x = project_polyhedron(inst, y)
+    assert np.all(x >= 0.0)
+    assert np.all(link_loads(inst, x) <= inst.capacities * (1.0 + 1e-12))
+    assert np.max(np.abs(project_polyhedron(inst, x) - x)) <= 1e-11
+
+
+def test_dykstra_error_carries_last_point(monkeypatch):
+    monkeypatch.setattr(projections, "POLYHEDRON_STEPS", 2)
     inst = Instance(links=(Link(0, 1.0), Link(1, 1.0)), routes=(Route(0, (0, 1)), Route(1, (0,)), Route(2, (1,))))
     with pytest.raises(DykstraError) as exc:
-        project_polyhedron(inst, np.array([5.0, 5.0, 5.0]), tolerance=1e-12, max_cycles=2)
+        project_polyhedron(inst, np.array([5.0, 5.0, 5.0]))
     assert exc.value.last_point.shape == (3,)
     assert np.isfinite(exc.value.residual)
 
@@ -179,7 +204,7 @@ def test_dykstra_rejects_route_without_links():
         project_polyhedron(inst, np.array([0.5, -1.0]))
 
 
-def _colour_cases():
+def _polyhedron_cases():
     # 30 links for 6 routes leave links untraversed and links with one route
     cases = [generate_random(seed=s, n_nodes=12, n_links=30, n_routes=6, alpha=1.0) for s in range(10)]
     cases += [generate_random(seed=s, n_nodes=10, n_links=16, n_routes=20, alpha=1.0) for s in range(10)]
@@ -192,51 +217,46 @@ def _colour_cases():
     return cases
 
 
-def test_link_colour_classes_partition_route_disjoint():
-    for inst in _colour_cases():
-        classes = inst.incidence.colour_classes
-        carrying = {j for r in inst.routes for j in r.links}
-        coloured = [int(j) for links in classes for j in links]
-        assert sorted(coloured) == sorted(carrying)  # each carrying link exactly once
-        for links in classes:
-            assert links.size > 0 and np.all(np.diff(links) > 0)
-            routes = [r.id for r in inst.routes for j in links if j in r.links]
-            assert len(routes) == len(set(routes)), "two links of one class share a route"
-
-
-def test_instance_is_coloured_once(monkeypatch):
-    colourings = []
-    colour = Incidence.colour_classes.func
-    monkeypatch.setattr(Incidence.colour_classes, "func", lambda inc: colourings.append(inc) or colour(inc))
+def test_pair_table_built_once_per_incidence(monkeypatch):
+    tables = []
+    build = Incidence.link_pairs.func
+    monkeypatch.setattr(Incidence.link_pairs, "func", lambda inc: tables.append(inc) or build(inc))
     inst = generate_random(seed=3, n_nodes=10, n_links=16, n_routes=20, alpha=1.0)
     rng = np.random.default_rng(3)
     for _ in range(2):
         project_polyhedron(inst, rng.uniform(-2.0, 8.0, size=inst.n_routes))
     solvers.solve(inst, None, "c-admm", config=solvers.SolverConfig(max_iters=3))
-    assert len(colourings) == 1 and colourings[0] is inst.incidence
+    assert len(tables) == 1 and tables[0] is inst.incidence
+    # the table sums A diag(w) A^T for the dense link-route incidence A
+    for inst in _polyhedron_cases():
+        a = np.zeros((inst.n_links, inst.n_routes))
+        a[inst.incidence.copy_link, inst.incidence.copy_route] = 1.0
+        w = rng.uniform(0.5, 2.0, size=inst.n_routes)
+        index, route = inst.incidence.link_pairs
+        got = np.bincount(index, weights=w[route], minlength=inst.n_links**2).reshape(inst.n_links, inst.n_links)
+        np.testing.assert_allclose(got, (a * w) @ a.T, rtol=1e-12)
 
 
-def test_dykstra_matches_sequential_oracle_bitwise():
+def test_polyhedron_matches_sequential_oracle():
     rng = np.random.default_rng(11)
-    for s, inst in enumerate(_colour_cases()):
-        order = [int(j) for links in inst.incidence.colour_classes for j in links]
+    for s, inst in enumerate(_polyhedron_cases()):
+        links = sorted({j for r in inst.routes for j in r.links})
         y = rng.uniform(-2.0, 8.0, size=inst.n_routes)
-        tol = (1e-9, 1e-10)[s % 2]
-        got = project_polyhedron(inst, y, tolerance=tol)
-        want, _ = sequential_dykstra(inst, y, order, sort_threshold_projection, tolerance=tol, cycles=100_000)
-        assert np.array_equal(got, want), f"case {s} diverged"
+        got = project_polyhedron(inst, y)
+        want, _ = sequential_dykstra(inst, y, links, sort_threshold_projection, tolerance=1e-12, cycles=100_000)
+        assert np.max(np.abs(got - want)) <= 1e-9, f"case {s} diverged"
 
 
 def test_dykstra_accurate_on_cadmm_points(monkeypatch):
-    # c-admm's first projections on this instance: the iterate stands still
-    # for a cycle long before the corrections do
+    # c-admm's first projections on this instance: Dykstra's iterate stands
+    # still for a cycle long before its corrections do
     inst = generate_random(seed=206, n_nodes=8, n_links=14, n_routes=7, alpha=0.5)
     points = []
     project = solvers.project_polyhedron
 
-    def record(instance, point, **kwargs):
+    def record(instance, point):
         points.append(np.array(point))
-        return project(instance, point, **kwargs)
+        return project(instance, point)
 
     monkeypatch.setattr(solvers, "project_polyhedron", record)
     config = solvers.SolverConfig(tol_primal=0.0, tol_dual=0.0, max_iters=4)
@@ -245,5 +265,5 @@ def test_dykstra_accurate_on_cadmm_points(monkeypatch):
     links = sorted({j for r in inst.routes for j in r.links})
     for i, y in enumerate(points):
         reference, _ = sequential_dykstra(inst, y, links, sort_threshold_projection, cycles=3000)
-        got = project_polyhedron(inst, y, tolerance=solvers.DYKSTRA_TOL)
+        got = project_polyhedron(inst, y)
         assert np.max(np.abs(got - reference)) <= 1e-9, f"point {i}"

@@ -173,7 +173,7 @@ def test_equal_split_extract_is_exactly_feasible():
 
 def test_cadmm_extract_always_feasible(small_instance):
     # on the instance of acceptance criterion 9 the unprojected equal split
-    # and Dykstra's iterate from step 6 on are over a cap by a few ulps
+    # and every polyhedron projection of c-admm are over a cap by a few ulps
     criterion_9 = generate_random(
         seed=0, n_nodes=100, n_links=300, n_routes=200, capacity_range=(5.0, 50.0), alpha=1.0
     )
