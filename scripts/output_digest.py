@@ -11,12 +11,13 @@ best feasible point, solver-state array, iteration count and trace CSV
 (the bytes ``write_trace`` writes).  It prints one digest per algorithm
 group, then one over everything.  The fd-admm group holds the equal split
 (fd-admm's iteration-0 extract), fd-admm's own solves and every reference
-(``reference_solution`` and the per-event references of ``run_dynamic``,
-which fd-admm solves); the c-admm and lagr groups hold those algorithms'
-solves and ``run_dynamic`` traces.  The ``simulator`` group runs the
-message-passing simulator for 20 rounds on three cases: one with a weight
-update injected after round 10, one whose partition gives every untraversed
-link to a domain that holds no route, and a balanced partition into 16
+(``reference_solution``, which fd-admm solves, and the per-event references
+of ``run_dynamic``, which ``fair_optimum`` solves); the c-admm and lagr
+groups hold those algorithms' solves and ``run_dynamic`` traces.  The
+``simulator`` group runs the message-passing simulator for 20 rounds on
+three cases: one with a weight update injected after round 10, one whose
+partition gives every untraversed link to a domain that holds no route, and
+a balanced partition into 16
 domains of one or two links each; it hashes the allocation the controllers
 enforce right after ``build_controllers``, the exported message-log CSV,
 the meter's per-pair and per-round counts, and the gathered link copies,

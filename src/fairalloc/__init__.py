@@ -43,6 +43,7 @@ from .solvers import (
     SolverConfig,
     SolverError,
     cadmm_step,
+    fair_optimum,
     fdadmm_round,
     initial_state,
     lagr_step,

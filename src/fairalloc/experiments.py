@@ -26,7 +26,7 @@ import numpy as np
 
 from .fairness import FairnessObjective, default_objective, utility
 from .model import Instance, Partition, carried_rates
-from .solvers import SolverConfig, equal_split_extract, reference_solution, solve
+from .solvers import SolverConfig, equal_split_extract, fair_optimum, solve
 from .trace import TraceRow, format_value, relative_gap
 
 
@@ -75,12 +75,10 @@ class ReferenceCache:
 
     Keyed by event number; entries remember the weights they were solved for,
     so a mismatch (different scenario or seed) recomputes instead of lying.
-    The reference chain is warm-started event to event, which is what makes a
-    20-event scenario affordable at 1e-6 accuracy.
     """
 
     def __init__(self):
-        self._entries: dict[int, tuple[np.ndarray, np.ndarray, object]] = {}
+        self._entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def get(self, event: int, weights: np.ndarray):
         entry = self._entries.get(event)
@@ -88,12 +86,8 @@ class ReferenceCache:
             return entry[1]
         return None
 
-    def put(self, event: int, weights: np.ndarray, allocation: np.ndarray, state) -> None:
-        self._entries[event] = (weights.copy(), allocation, state)
-
-    def state_before(self, event: int):
-        entry = self._entries.get(event - 1)
-        return entry[2] if entry is not None else None
+    def put(self, event: int, weights: np.ndarray, allocation: np.ndarray) -> None:
+        self._entries[event] = (weights.copy(), allocation)
 
 
 def run_dynamic(
@@ -110,10 +104,11 @@ def run_dynamic(
     ``iters_per_event`` rounds continuing from wherever the previous event
     left off (tolerances are disabled), so the trace exposes how far the
     method gets in a fixed real-time budget — initial convergence and
-    re-tracking are averaged together.  Gaps are measured against a
-    per-event reference solved to 1e-6; the per-event aggregates score the
-    served allocation (see the module docstring), while trace rows keep the
-    raw per-iterate gap.
+    re-tracking are averaged together.  Gaps are measured against each
+    event's optimum from :func:`fairalloc.solvers.fair_optimum`, an
+    interior-point solve independent of the algorithms scored; the per-event
+    aggregates score the served allocation (see the module docstring), while
+    trace rows keep the raw per-iterate gap.
     """
     config = config or SolverConfig()
     cache = reference_cache if reference_cache is not None else ReferenceCache()
@@ -151,12 +146,8 @@ def run_dynamic(
 
         ref_alloc = cache.get(t, weights)
         if ref_alloc is None:
-            # the reference chain warm-starts from the event before, solved or cached
-            ref_result = reference_solution(
-                instance, objective=objective_t, warm_state=cache.state_before(t), return_result=True
-            )
-            ref_alloc = ref_result.allocation
-            cache.put(t, weights, ref_alloc, ref_result.state)
+            ref_alloc = fair_optimum(instance, objective_t)
+            cache.put(t, weights, ref_alloc)
         references.append(ref_alloc)
 
         result = solve(

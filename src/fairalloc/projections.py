@@ -14,22 +14,27 @@ the threshold step a repair pass removes any last-ulp excess, measured with
 the same canonical summation used by feasibility checks elsewhere.
 
 Projection onto the intersection of all link sets, the polyhedron
-``{Ax <= C, x >= 0}``, is a quadratic program with identity Hessian, solved
-by one primal-dual path-following loop (Boyd & Vandenberghe, *Convex
-Optimization*, 2004, section 11.7; Wright, *Primal-Dual Interior-Point
-Methods*, 1997).  Its Newton system is reduced to the links, and the link
-matrix is summed from the table of link pairs each route traverses
+``{Ax <= C, x >= 0}``, is a quadratic program with identity Hessian.  It is
+solved by :func:`path_following`, one primal-dual path-following loop (Boyd
+& Vandenberghe, *Convex Optimization*, 2004, section 11.7; Wright,
+*Primal-Dual Interior-Point Methods*, 1997) for any separable convex
+objective over the polyhedron, given its gradient and the diagonal of its
+Hessian.  The same loop solves the alpha-fair optimum
+(``solvers.fair_optimum``).  Its Newton system is reduced to the links, and
+the link matrix is summed from the table of link pairs each route traverses
 (``Incidence.link_pairs``, computed once per instance).
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from .model import Instance, route_minima
 from .numerics import segment_sums
 
-# step budget and stopping tolerance (relative) of project_polyhedron
+# step budget and stopping tolerance (relative) of path_following
 POLYHEDRON_STEPS = 200
 POLYHEDRON_TOL = 1e-12
 
@@ -39,7 +44,7 @@ class ProjectionError(ValueError):
 
 
 class DykstraError(RuntimeError):
-    """:func:`project_polyhedron` ran out of steps; carries the last iterate
+    """:func:`path_following` ran out of steps; carries the last iterate
     and its residual.  The name is kept because the benchmark and the CLI
     catch it under this name."""
 
@@ -150,32 +155,51 @@ def _enforce_caps(
 def project_polyhedron(instance: Instance, point: np.ndarray) -> np.ndarray:
     """Euclidean projection of ``point`` onto ``{x >= 0, loads <= capacities}``.
 
-    Path-following on ``min ||x - y||^2 / 2`` subject to ``Ax + s = C`` and
-    ``x, s >= 0``, with multipliers ``mu`` for the links and ``nu`` for
-    ``x >= 0``.  It starts at half of each route's equal-split share with
-    every multiplier at 1, aims each Newton step at a tenth of the mean
-    complementarity and stops it 1% short of the boundary.  It stops once
-    the primal and dual residuals and the root of the mean complementarity
-    are at most ``POLYHEDRON_TOL * max(1, max |y|, max C)``, and returns ``x``
-    with every rate below its multiplier set to 0: a bound active at the
-    projection comes back as an exact 0.  A load may exceed its cap by the
+    :func:`path_following` on ``||x - y||^2 / 2``: gradient ``x - y``,
+    curvature 1 and scale ``max |y|``.  A load may exceed its cap by the
     tolerance; the solvers serve only extracts, which fit exactly.
 
     Raises :class:`ProjectionError` for a point that is not finite or an
-    instance with a route on no link, and :class:`DykstraError` with the
-    last iterate and its residual after ``POLYHEDRON_STEPS`` steps.
+    instance with a route on no link, and :class:`DykstraError` as
+    :func:`path_following` does.
     """
-    inc = instance.incidence
     y = np.asarray(point, dtype=np.float64)
     if y.shape != (instance.n_routes,):
         raise ProjectionError(f"point has shape {y.shape}, expected ({instance.n_routes},)")
     if not np.all(np.isfinite(y)):
         raise ProjectionError("point must be finite")
-    if not np.bincount(inc.copy_route, minlength=instance.n_routes).all():
+    if not np.bincount(instance.incidence.copy_route, minlength=instance.n_routes).all():
         raise ProjectionError("every route must traverse at least one link")
-    n_links, n_routes = instance.n_links, instance.n_routes
-    if not n_routes:
+    if not instance.n_routes:
         return y.copy()
+    return path_following(instance, lambda x: x - y, lambda x: 1.0, np.max(np.abs(y)))
+
+
+def path_following(
+    instance: Instance,
+    gradient: Callable[[np.ndarray], np.ndarray],
+    curvature: Callable[[np.ndarray], np.ndarray | float],
+    scale: float,
+) -> np.ndarray:
+    """Minimize a separable convex ``f`` over ``{x >= 0, loads <= capacities}``.
+
+    ``gradient(x)`` and ``curvature(x)`` give ``f``'s gradient and the
+    diagonal of its Hessian at an interior ``x``.  Path-following on
+    ``min f(x)`` subject to ``Ax + s = C`` and ``x, s >= 0``, with
+    multipliers ``mu`` for the links and ``nu`` for ``x >= 0``.  It starts at
+    half of each route's equal-split share with every multiplier at 1, aims
+    each Newton step at a tenth of the mean complementarity and stops it 1%
+    short of the boundary.  It stops once the primal and dual residuals and
+    the root of the mean complementarity are at most
+    ``POLYHEDRON_TOL * max(1, scale, max C)``, and returns ``x`` with every
+    rate below its multiplier set to 0: a bound active at the optimum comes
+    back as an exact 0.  Every route must traverse a link.
+
+    Raises :class:`DykstraError` with the last iterate and its residual after
+    ``POLYHEDRON_STEPS`` steps.
+    """
+    inc = instance.incidence
+    n_links, n_routes = instance.n_links, instance.n_routes
     caps = instance.capacities
     pairs, pair_routes = inc.link_pairs
 
@@ -190,9 +214,9 @@ def project_polyhedron(instance: Instance, point: np.ndarray) -> np.ndarray:
     point_and_duals = np.concatenate((0.5 * split, caps, np.ones(n_links + n_routes)))
     x, s, mu, nu = np.split(point_and_duals, np.cumsum([n_routes, n_links, n_links]))
     s -= loads(x)
-    tol = POLYHEDRON_TOL * max(1.0, np.max(np.abs(y)), np.max(caps))
+    tol = POLYHEDRON_TOL * max(1.0, scale, np.max(caps))
     for steps in range(POLYHEDRON_STEPS + 1):
-        r_dual = x - y + prices(mu) - nu
+        r_dual = gradient(x) + prices(mu) - nu
         r_primal = loads(x) + s - caps
         gap = (mu @ s + nu @ x) / (n_links + n_routes)
         residual = max(np.max(np.abs(r_dual)), np.max(np.abs(r_primal)), np.sqrt(gap))
@@ -202,7 +226,7 @@ def project_polyhedron(instance: Instance, point: np.ndarray) -> np.ndarray:
         if steps == POLYHEDRON_STEPS:
             break
         target = 0.1 * gap
-        g = 1.0 + nu / x
+        g = curvature(x) + nu / x
         r_x = target / x - nu - r_dual
         r_s = s - target / mu - r_primal
         # (A G^-1 A^T + diag(s/mu)) d_mu = A G^-1 r_x - r_s with G = diag(g); the

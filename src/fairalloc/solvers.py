@@ -18,10 +18,11 @@ fd-admm and c-admm serve exactly feasible allocations by one rule: one
 :class:`BatchedLinkProjector` call projects every link's copies, and each
 route takes the minimum of its copies, which is at most each copy, so every
 load fits.  fd-admm's :func:`consensus_round` applies it to its copies each
-round and :func:`cadmm_step` to ``z`` spread over the copies.  The start of
-both, and of every simulated domain controller, is the rule applied to each
-link's equal share of its capacity: :func:`initial_state` seeds from those
-projected copies, and :func:`equal_split_extract` is their extract.
+round, and :func:`cadmm_step` and :func:`fair_optimum` to their points spread
+over the copies.  The start of fd-admm and c-admm, and of every simulated
+domain controller, is the rule applied to each link's equal share of its
+capacity: :func:`initial_state` seeds from those projected copies, and
+:func:`equal_split_extract` is their extract.
 
 One loop in ``solve`` runs all three.  Each state dataclass (``FdState``,
 ``CadmmState``, ``LagrState``) carries its ``ConsensusIndex`` and exposes
@@ -56,13 +57,14 @@ from .fairness import (
     PenaltyState,
     adapt_penalty,
     bottleneck_capacities,
+    cost_gradient,
     default_objective,
     prox_values,
     utility,
 )
 from .model import Instance, Partition, link_loads, route_minima, single_domain
 from .numerics import segment_mins, segment_sums
-from .projections import BatchedLinkProjector, project_polyhedron
+from .projections import BatchedLinkProjector, path_following, project_polyhedron
 from .trace import TraceRow, overloaded_percentage, relative_gap
 
 ALGORITHMS = ("fd-admm", "c-admm", "lagr")
@@ -259,15 +261,21 @@ class FdState:
         return (self.link_duals, self.route_duals)
 
 
-def _equal_split_copies(instance: Instance) -> np.ndarray:
-    """Per-link copies, incidence order: each link's capacity over its
-    routes, projected by one call over every link (``C/n`` summed ``n``
-    times can round above ``C``)."""
+def _projected_copies(instance: Instance, copies: np.ndarray) -> np.ndarray:
+    """Per-link ``copies`` in incidence order, projected in place onto their
+    links' capped simplices by one call over every link: the first half of
+    the feasible extract (module docstring)."""
     inc = instance.incidence
-    sizes = np.diff(inc.link_starts).astype(np.float64)
-    copies = instance.capacities[inc.copy_link] / sizes[inc.copy_link]
     BatchedLinkProjector(inc.link_starts, instance.capacities).apply(copies, out=copies)
     return copies
+
+
+def _equal_split_copies(instance: Instance) -> np.ndarray:
+    """Per-link copies, incidence order: each link's capacity over its
+    routes, projected (``C/n`` summed ``n`` times can round above ``C``)."""
+    inc = instance.incidence
+    sizes = np.diff(inc.link_starts).astype(np.float64)
+    return _projected_copies(instance, instance.capacities[inc.copy_link] / sizes[inc.copy_link])
 
 
 def initial_state(index: ConsensusIndex, penalty: PenaltyState) -> FdState:
@@ -381,10 +389,7 @@ def cadmm_step(state: CadmmState, instance: Instance, objective: FairnessObjecti
     )
     state.x = x
     state.z = z
-    inc = instance.incidence
-    copies = z[inc.copy_route]
-    BatchedLinkProjector(inc.link_starts, instance.capacities).apply(copies, out=copies)
-    state.extract = route_minima(instance, copies)
+    state.extract = route_minima(instance, _projected_copies(instance, z[instance.incidence.copy_route]))
     state.iteration += 1
     return state
 
@@ -664,3 +669,25 @@ def reference_solution(
             f"reference solve stalled: residuals {result.residuals} after {result.iterations} iterations"
         )
     return result if return_result else result.allocation
+
+
+def fair_optimum(instance: Instance, objective: FairnessObjective) -> np.ndarray:
+    """The alpha-fair optimum from an interior-point solve that shares no
+    iterate with the consensus methods: ``projections.path_following`` on
+    the negated utility, gradient ``-w x^-alpha`` and curvature
+    ``alpha w x^(-alpha-1)``, then the feasible extract (module docstring),
+    since the interior point may exceed a cap by rounding.
+
+    Raises :class:`SolverError` for a weight count that does not match the
+    routes or a route on no link, and ``DykstraError`` as the loop does.
+    """
+    if objective.weights.size != instance.n_routes:
+        raise SolverError("objective weight count does not match instance routes")
+    inc = instance.incidence
+    if not np.bincount(inc.copy_route, minlength=instance.n_routes).all():
+        raise SolverError("every route must traverse at least one link")
+    alpha, w = objective.alpha, objective.weights
+    x = path_following(
+        instance, lambda v: cost_gradient(objective, v), lambda v: alpha * w * v ** (-alpha - 1.0), 0.0
+    )
+    return route_minima(instance, _projected_copies(instance, x[inc.copy_route]))

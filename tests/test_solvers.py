@@ -15,7 +15,9 @@ from fairalloc.model import (
     is_feasible,
     single_domain,
 )
+from fairalloc import projections
 from fairalloc.numerics import canonical_sum, segment_sums
+from fairalloc.projections import DykstraError
 from fairalloc.solvers import (
     ALGORITHMS,
     ConsensusIndex,
@@ -23,6 +25,7 @@ from fairalloc.solvers import (
     SolverError,
     cadmm_step,
     equal_split_extract,
+    fair_optimum,
     fdadmm_round,
     initial_cadmm_state,
     initial_lagr_state,
@@ -350,6 +353,41 @@ def test_reference_solution_deterministic():
     a = reference_solution(inst)
     b = reference_solution(inst)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_fair_optimum_matches_reference_solution(alpha):
+    inst = generate_random(seed=15, n_nodes=8, n_links=12, n_routes=16, alpha=alpha)
+    obj = default_objective(inst)
+    x = fair_optimum(inst, obj)
+    ref = reference_solution(inst, objective=obj)
+    assert is_feasible(inst, x)
+    assert np.max(np.abs(x - ref)) <= 1e-5 * np.max(ref)
+    assert utility(obj, x) >= utility(obj, ref)
+
+
+def test_fair_optimum_at_alpha_zero_compares_utilities():
+    """At alpha 0 the problem is a linear program whose optimum need not be
+    unique, so only the utilities are compared."""
+    inst = generate_random(seed=16, n_nodes=8, n_links=12, n_routes=16, alpha=0.0)
+    obj = default_objective(inst)
+    x = fair_optimum(inst, obj)
+    best, ref = utility(obj, x), utility(obj, reference_solution(inst, objective=obj))
+    assert is_feasible(inst, x)
+    assert ref <= best <= ref + 1e-5 * abs(ref)
+
+
+def test_fair_optimum_validates(small_instance, monkeypatch):
+    with pytest.raises(SolverError, match="weight count"):
+        fair_optimum(small_instance, FairnessObjective(alpha=1.0, weights=np.ones(small_instance.n_routes + 1)))
+    linkless = Instance(links=(Link(0, 1.0),), routes=(Route(0, (0,)), Route(1, ())))
+    with pytest.raises(SolverError, match="at least one link"):
+        fair_optimum(linkless, default_objective(linkless))
+    monkeypatch.setattr(projections, "POLYHEDRON_STEPS", 2)
+    with pytest.raises(DykstraError) as exc:
+        fair_optimum(small_instance, default_objective(small_instance))
+    assert exc.value.last_point.shape == (small_instance.n_routes,)
+    assert np.isfinite(exc.value.residual) and exc.value.residual > 0
 
 
 def test_algorithm_registry():
