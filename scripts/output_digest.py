@@ -24,10 +24,13 @@ the meter's per-pair and per-round counts, and the gathered link copies,
 enforced allocation and route replicas after the rounds, then the report of
 ``measure_overhead`` over 20 rounds of the case (without the weight
 update): its rounds, predicted floats per round, metered total and sorted
-per-pair counts.  Two versions of the package that print the same digest
-for a group produce the same bits on that group's part of the grid.  The
-total covers the three solver groups only, so it compares with digests
-printed before the simulator group existed.
+per-pair counts.  The ``alpha-0.5`` group pins the one exponent that the
+other groups leave out, α = 1/2, on one seeded instance: a 25-round fd-admm
+solve, a 25-round c-admm solve and 20 simulated rounds hashed as above.  Two
+versions of the package that print the same digest for a group produce the
+same bits on that group's part of the grid.  The total covers the three
+solver groups only, so it compares with digests printed before the
+simulator and ``alpha-0.5`` groups existed.
 
 The served mean gaps of ``run_dynamic`` are left out.  They are scores,
 not outputs: the served points are the equal split, hashed here on its own,
@@ -133,6 +136,34 @@ def _routeless_partition(instance, n_domains: int):
     return build_partition(instance, assignment)
 
 
+def _simulated_entries(name, inst, part, update_at, workdir: Path):
+    """``(name, bytes)`` for 20 simulated rounds of one case, with a weight
+    update injected before round ``update_at`` unless it is ``None``."""
+    objective = default_objective(inst)
+    controllers = build_controllers(inst, part, objective, penalty=0.8)
+    yield f"{name}.start", _array(gather_allocation(controllers, inst.n_routes))
+    meter = OverheadMeter()
+    log = []
+    for k in range(20):
+        if k == update_at:
+            weights = inst.weights * np.linspace(0.6, 1.4, inst.n_routes)
+            inject_weight_update(controllers, weights)
+        run_round(controllers, k, meter=meter, log=log)
+    path = workdir / "messages.csv"
+    export_message_log(log, path)
+    yield f"{name}.messages", path.read_bytes()
+    yield f"{name}.per_pair", repr(sorted(meter.per_pair.items())).encode()
+    yield f"{name}.per_round", repr(sorted(meter.per_round.items())).encode()
+    yield f"{name}.link_values", _array(gather_link_values(controllers, inst))
+    yield f"{name}.allocation", _array(gather_allocation(controllers, inst.n_routes))
+    for attr in ("consensus", "route_values", "route_duals"):
+        yield f"{name}.{attr}", _array(gather_route_replicas(controllers, inst.n_routes, attr))
+    report = measure_overhead(inst, part, objective, penalty=0.8, rounds=20)
+    yield f"{name}.overhead", repr(
+        (report.rounds, report.floats_per_round, report.total_floats, sorted(report.per_pair.items()))
+    ).encode()
+
+
 def simulator_entries(workdir: Path):
     """``(name, bytes)`` for 20 simulated rounds on each simulator case."""
     first = generate_random(seed=3, n_nodes=12, n_links=20, n_routes=30, alpha=1.0)
@@ -142,36 +173,27 @@ def simulator_entries(workdir: Path):
         ("routeless", second, _routeless_partition(second, 3), None),
         ("domains16", first, build_partition(first, balanced_assignment(first, 16)), None),
     ]
-    for name, inst, part, update_at in cases:
-        objective = default_objective(inst)
-        controllers = build_controllers(inst, part, objective, penalty=0.8)
-        yield f"{name}.start", _array(gather_allocation(controllers, inst.n_routes))
-        meter = OverheadMeter()
-        log = []
-        for k in range(20):
-            if k == update_at:
-                weights = inst.weights * np.linspace(0.6, 1.4, inst.n_routes)
-                inject_weight_update(controllers, weights)
-            run_round(controllers, k, meter=meter, log=log)
-        path = workdir / "messages.csv"
-        export_message_log(log, path)
-        yield f"{name}.messages", path.read_bytes()
-        yield f"{name}.per_pair", repr(sorted(meter.per_pair.items())).encode()
-        yield f"{name}.per_round", repr(sorted(meter.per_round.items())).encode()
-        yield f"{name}.link_values", _array(gather_link_values(controllers, inst))
-        yield f"{name}.allocation", _array(gather_allocation(controllers, inst.n_routes))
-        for attr in ("consensus", "route_values", "route_duals"):
-            yield f"{name}.{attr}", _array(gather_route_replicas(controllers, inst.n_routes, attr))
-        report = measure_overhead(inst, part, objective, penalty=0.8, rounds=20)
-        yield f"{name}.overhead", repr(
-            (report.rounds, report.floats_per_round, report.total_floats, sorted(report.per_pair.items()))
-        ).encode()
+    for case in cases:
+        yield from _simulated_entries(*case, workdir)
+
+
+def half_entries(workdir: Path):
+    """``(name, bytes)`` for fd-admm, c-admm and the simulator at α = 1/2."""
+    inst = generate_random(seed=6, n_nodes=12, n_links=20, n_routes=30, alpha=0.5)
+    part = build_partition(inst, balanced_assignment(inst, 4))
+    cfg = SolverConfig(tol_primal=0.0, tol_dual=0.0, max_iters=25)
+    for algorithm in ("fd-admm", "c-admm"):
+        result = solve(inst, part, algorithm, config=cfg)
+        for _, name, data in _result_entries(None, algorithm, result, workdir):
+            yield name, data
+    yield from _simulated_entries("simulator", inst, part, None, workdir)
 
 
 def main() -> int:
     groups = {algorithm: hashlib.sha256() for algorithm in ALGORITHMS}
     total = hashlib.sha256()
     simulator = hashlib.sha256()
+    half = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for group, name, data in entries(Path(tmp)):
             record = name.encode() + b"\0" + hashlib.sha256(data).digest()
@@ -179,9 +201,12 @@ def main() -> int:
             total.update(record)
         for name, data in simulator_entries(Path(tmp)):
             simulator.update(name.encode() + b"\0" + hashlib.sha256(data).digest())
+        for name, data in half_entries(Path(tmp)):
+            half.update(name.encode() + b"\0" + hashlib.sha256(data).digest())
     for algorithm, digest in groups.items():
         print(f"{algorithm} {digest.hexdigest()}")
     print(f"simulator {simulator.hexdigest()}")
+    print(f"alpha-0.5 {half.hexdigest()}")
     print(f"total {total.hexdigest()}")
     return 0
 
