@@ -2,8 +2,9 @@
 
 The per-route utility is ``w * x**(1-alpha) / (1-alpha)`` for ``alpha != 1``
 and ``w * log(x)`` at ``alpha == 1``; the solver minimizes its negation, whose
-proximal map has a closed form at ``alpha`` in {0, 1} and is otherwise the
-unique positive root of ``x**alpha * (x - v) = lam * w``.
+proximal map is the unique positive root of ``x**alpha * (x - v) = lam * w``.
+It has a closed form at ``alpha`` in {0, 1/2, 1} and is otherwise found by a
+safeguarded Newton iteration.
 
 Penalty selection follows the reciprocal-penalty rule ``lam = 1/sqrt(sigma*L)``
 where ``sigma`` and ``L`` are the strong-convexity and gradient-Lipschitz
@@ -84,13 +85,49 @@ def cost_gradient(objective: FairnessObjective, allocation: np.ndarray) -> np.nd
 _ROOT_MAX_STEPS = 400
 
 
+def _prox_half(v: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Root of ``sqrt(x) * (x - v) = target`` as ``y**2``, with y the largest
+    (the one positive) root of the depressed cubic ``y**3 - v*y - target = 0``.
+
+    With ``m = v/3``, ``a = |m|**1.5`` and ``h = target/2``, the cubic has one
+    real root where ``v <= 0`` or ``h > a``.  Cardano gives it as
+    ``u + m/u`` with ``u = cbrt(h + sqrt(h**2 - m**3))``, written here as
+    ``target / (u**2 - m + (m/u)**2)``, which does not cancel at ``v < 0``.
+    Elsewhere the largest of three real roots is ``2 sqrt(m) cos(arccos(h/a)/3)``.
+    One Newton step on the cubic finishes either form.  Both forms are
+    evaluated on every element and only elementwise ufuncs are used, so each
+    result depends only on its own ``(v, target)``.  The step overflows only
+    on three-root elements with ``v`` above about 1e216, where this raises.
+    """
+    m = v / 3.0
+    root_m = np.sqrt(np.abs(m))
+    a = np.abs(m) * root_m
+    h = 0.5 * target
+    one_root = (m <= 0.0) | (h > a)
+    # sqrt(h**2 - m**3) without forming the squares; the abs only keeps the
+    # three-root elements, whose value is discarded, out of sqrt's domain error
+    r = np.where(m > 0.0, np.sqrt(np.abs(h - a)) * np.sqrt(h + a), np.hypot(h, a))
+    u = np.cbrt(h + r)
+    cardano = target / (u * u - m + (m / u) ** 2)
+    # min/max keeps arccos in its domain [0, 1] on the one-root elements
+    angle = np.arccos(np.minimum(h, a) / np.maximum(h, a)) / 3.0
+    y = np.where(one_root, cardano, 2.0 * root_m * np.cos(angle))
+    y = y - (y * (y * y - v) - target) / (3.0 * y * y - v)
+    if not np.all(np.isfinite(y)):
+        raise FairnessError("prox overflowed in the alpha = 1/2 closed form")
+    return np.maximum(y * y, v)
+
+
 def prox_values(
     alpha: float, weights: np.ndarray, values: np.ndarray, lam: float, start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Elementwise prox of the negated utility with reciprocal penalty ``lam``.
 
-    Closed forms: ``alpha == 1`` gives ``(v + sqrt(v^2 + 4*lam*w)) / 2``;
-    ``alpha == 0`` gives ``max(v + lam*w, 0)``.  For other ``alpha > 0`` the
+    Closed forms, at ``alpha`` in {0, 1/2, 1}: ``alpha == 1`` gives
+    ``(v + sqrt(v^2 + 4*lam*w)) / 2``; ``alpha == 0`` gives
+    ``max(v + lam*w, 0)``; ``alpha == 0.5`` gives the square of the positive
+    root of the cubic ``y**3 - v*y - lam*w = 0`` (``_prox_half``).  For other
+    ``alpha > 0`` the
     root of ``x**alpha * (x - v) = lam*w`` is found by a safeguarded Newton
     iteration inside the bracket ``[max(v, 0), max(v, 0) + (lam*w)**(1/(1+alpha))]``
     (widened against rounding until it holds the root) to residual tolerance
@@ -101,12 +138,15 @@ def prox_values(
     The iteration starts at the top of the bracket, or, given an elementwise
     ``start`` (finite, shaped like ``values``; the last prox output is a good
     one), at ``start`` clipped into the bracket.  The closed forms ignore it.
+    Non-finite ``values`` raise ``FairnessError`` on every branch.
 
     Each element's update sequence depends only on its own ``(v, lam*w,
     start)``, so the result is bitwise independent of how inputs are batched.
     """
     w = np.asarray(weights, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(v).all():
+        raise FairnessError("values must be finite")
     if lam <= 0 or not np.isfinite(lam):
         raise FairnessError(f"penalty must be finite and > 0, got {lam}")
     if alpha < 0 or not np.isfinite(alpha):
@@ -122,6 +162,8 @@ def prox_values(
         return (v + np.sqrt(v * v + 4.0 * target)) / 2.0
     if alpha == 0.0:
         return np.maximum(v + target, 0.0)
+    if alpha == 0.5:
+        return _prox_half(v, target)
 
     lo = np.maximum(v, 0.0)
     span = target ** (1.0 / (1.0 + alpha))

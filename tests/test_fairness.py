@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,16 @@ def test_prox_validates():
                 prox_values(alpha, w, v, 1.0, start=start)
 
 
+def test_prox_rejects_non_finite_values():
+    w = np.array([1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (0.0, 0.5, 1.0, 2.0):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(FairnessError, match="values"):
+                    prox_values(alpha, w, np.array([bad, 1.0]), 1.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     alpha=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.1, 6.0)),
@@ -156,17 +167,23 @@ def test_prox_matches_independent_minimizer():
 
 
 def test_prox_batch_order_independence():
+    # every window of lengths 1, 7 and 64: the closed form at alpha = 1/2 goes
+    # through numpy's vector loops for cbrt, arccos and cos, whose result must
+    # not depend on an element's position in the array or the array's length
     rng = np.random.default_rng(3)
     w = rng.uniform(0.1, 30.0, size=64)
     v = rng.uniform(-5.0, 20.0, size=64)
     perm = rng.permutation(64)
-    for start in (None, rng.uniform(-1.0, 25.0, size=64)):
-        full = prox_values(2.5, w, v, 0.7, start=start)
-        shuffled = prox_values(2.5, w[perm], v[perm], 0.7, start=None if start is None else start[perm])
-        np.testing.assert_array_equal(shuffled, full[perm])
-        for r in range(64):
-            one = None if start is None else start[r : r + 1]
-            assert prox_values(2.5, w[r : r + 1], v[r : r + 1], 0.7, start=one)[0] == full[r]
+    for alpha in (0.5, 2.5):
+        for start in (None, rng.uniform(-1.0, 25.0, size=64)):
+            full = prox_values(alpha, w, v, 0.7, start=start)
+            shuffled = prox_values(alpha, w[perm], v[perm], 0.7, start=None if start is None else start[perm])
+            np.testing.assert_array_equal(shuffled, full[perm])
+            for n in (1, 7, 64):
+                for lo in range(64 - n + 1):
+                    part = slice(lo, lo + n)
+                    one = None if start is None else start[part]
+                    np.testing.assert_array_equal(prox_values(alpha, w[part], v[part], 0.7, start=one), full[part])
 
 
 def _start_case(seed, n=64):
@@ -217,8 +234,25 @@ def test_prox_start_at_the_root_stops_after_one_pass(monkeypatch):
 def test_prox_closed_forms_ignore_start():
     w, v, lam = _start_case(11)
     start = np.random.default_rng(12).uniform(-1.0, 4.0, v.size)
-    for alpha in (0.0, 1.0):
+    for alpha in (0.0, 0.5, 1.0):
         np.testing.assert_array_equal(prox_values(alpha, w, v, lam, start=start), prox_values(alpha, w, v, lam))
+
+
+def test_prox_half_closed_form_over_wide_scales():
+    rng = np.random.default_rng(19)
+    n = 200_000
+    v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+    w = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = prox_values(0.5, w, v, 1.0)
+    assert np.all(np.isfinite(x))
+    assert np.all(x >= np.maximum(v, 0.0))
+    # the residual bound of test_prox_first_order_condition, in extended precision
+    xl = x.astype(np.longdouble)
+    residual = (np.sqrt(xl) * (xl - v.astype(np.longdouble)) - w.astype(np.longdouble)).astype(np.float64)
+    dphi = np.sqrt(x) * (1.0 + 0.5 * (x - v) / x)
+    assert np.all(np.abs(residual) <= 1e-10 * np.maximum(1.0, w) + 4.0 * dphi * np.spacing(x))
 
 
 # ---------------------------------------------------------------------------
