@@ -184,7 +184,7 @@ def half_entries(workdir: Path):
     cfg = SolverConfig(tol_primal=0.0, tol_dual=0.0, max_iters=25)
     for algorithm in ("fd-admm", "c-admm"):
         result = solve(inst, part, algorithm, config=cfg)
-        for _, name, data in _result_entries(None, algorithm, result, workdir):
+        for _, name, data in _result_entries("alpha-0.5", algorithm, result, workdir):
             yield name, data
     yield from _simulated_entries("simulator", inst, part, None, workdir)
 

@@ -97,7 +97,8 @@ def _prox_half(v: np.ndarray, target: np.ndarray) -> np.ndarray:
     One Newton step on the cubic finishes either form.  Both forms are
     evaluated on every element and only elementwise ufuncs are used, so each
     result depends only on its own ``(v, target)``.  The step overflows only
-    on three-root elements with ``v`` above about 1e216, where this raises.
+    on three-root elements with ``v`` above about 1e216; there, and for a
+    ``target`` that is not positive, this raises.
     """
     m = v / 3.0
     root_m = np.sqrt(np.abs(m))
@@ -113,8 +114,9 @@ def _prox_half(v: np.ndarray, target: np.ndarray) -> np.ndarray:
     angle = np.arccos(np.minimum(h, a) / np.maximum(h, a)) / 3.0
     y = np.where(one_root, cardano, 2.0 * root_m * np.cos(angle))
     y = y - (y * (y * y - v) - target) / (3.0 * y * y - v)
-    if not np.all(np.isfinite(y)):
-        raise FairnessError("prox overflowed in the alpha = 1/2 closed form")
+    if not np.isfinite(y).all():
+        raise FairnessError("the alpha = 1/2 closed form found no finite root (overflow, or lam*w <= 0)")
+    # the root lies above v; keep rounding in y**2 from placing it below
     return np.maximum(y * y, v)
 
 
@@ -127,9 +129,8 @@ def prox_values(
     ``(v + sqrt(v^2 + 4*lam*w)) / 2``; ``alpha == 0`` gives
     ``max(v + lam*w, 0)``; ``alpha == 0.5`` gives the square of the positive
     root of the cubic ``y**3 - v*y - lam*w = 0`` (``_prox_half``).  For other
-    ``alpha > 0`` the
-    root of ``x**alpha * (x - v) = lam*w`` is found by a safeguarded Newton
-    iteration inside the bracket ``[max(v, 0), max(v, 0) + (lam*w)**(1/(1+alpha))]``
+    ``alpha > 0`` the root of ``x**alpha * (x - v) = lam*w`` is found by a
+    safeguarded Newton iteration inside the bracket ``[max(v, 0), max(v, 0) + (lam*w)**(1/(1+alpha))]``
     (widened against rounding until it holds the root) to residual tolerance
     ``1e-12 * max(1, lam*w)`` — or, when that residual is below what adjacent
     float64 values of x can express, to the correctly rounded root (bracket

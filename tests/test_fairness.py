@@ -253,6 +253,10 @@ def test_prox_half_closed_form_over_wide_scales():
     residual = (np.sqrt(xl) * (xl - v.astype(np.longdouble)) - w.astype(np.longdouble)).astype(np.float64)
     dphi = np.sqrt(x) * (1.0 + 0.5 * (x - v) / x)
     assert np.all(np.abs(residual) <= 1e-10 * np.maximum(1.0, w) + 4.0 * dphi * np.spacing(x))
+    # far beyond that range the closed form's Newton step overflows: a typed
+    # error, not an infinite rate
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FairnessError, match="no finite root"):
+        prox_values(0.5, np.array([1.0]), np.array([1e250]), 1.0)
 
 
 # ---------------------------------------------------------------------------
