@@ -1,17 +1,22 @@
 """Euclidean projections onto per-link capacity sets and the full polyhedron.
 
 One kernel, :class:`BatchedLinkProjector`, projects every link of a flat
-copy layout onto its capped simplex ``{x >= 0, sum(x) <= C}`` at once by the
-sort-and-threshold rule, treating each link on its own, so its result for a
-link does not depend on which other links share the call.  That is what lets
-a vectorized solver and a per-node simulation of the same algorithm agree to
+copy layout onto its capped simplex ``{x >= 0, sum(x) <= C}`` in one call by
+the sort-and-threshold rule.  Its constructor lays the links out once as
+the rows of one padded table; a call sorts only the rows of the links over
+their cap, negated, so that the ``+inf`` pads sort last and every prefix sum
+of a link's copies is exactly the negation of the one its own sort gives.
+Each step decides a link from its own copies alone, so a link's result is
+the same bits whichever links share the call.  That is what lets a
+vectorized solver and a per-node simulation of the same algorithm agree to
 the last bit.  :func:`project_capped_simplex` is its one-link call.  The
-tests check it against an independent 1-D sort-and-threshold routine
-(``tests/oracles.py``) that shares no code with the package.
+tests check it byte for byte against an independent 1-D sort-and-threshold
+routine (``tests/oracles.py``) that shares no code with the package.
 
 Every link the kernel projects fits its cap exactly in floating point: after
-the threshold step a repair pass removes any last-ulp excess, measured with
-the same canonical summation used by feasibility checks elsewhere.
+the threshold step a repair pass takes any last-ulp excess off the link's
+first maximum, measured with the same canonical summation used by
+feasibility checks elsewhere.
 
 Projection onto the intersection of all link sets, the polyhedron
 ``{Ax <= C, x >= 0}``, is a quadratic program with identity Hessian.  It is
@@ -75,81 +80,94 @@ def project_capped_simplex(values: np.ndarray, cap: float) -> np.ndarray:
 class BatchedLinkProjector:
     """Per-link capped-simplex projection over a flat copy layout.
 
-    One call projects every link at once.  The clipped copies are summed per
-    link with ``segment_sums`` over the flat layout; only the links over
-    their cap go on to sort-and-threshold, as the rows of one matrix padded
-    with ``-inf``.  Pads sort to the end of each row and ``cumsum`` is a
-    sequential scan, so every prefix of real entries is the one a single
-    link's sort would give, and every sum that decides feasibility is taken
-    over the unpadded copies.  A link's result is therefore the same bits
-    whichever links share the call, including the exact-feasibility repair.
+    The constructor lays out the padded rows once: a ``(links, q)`` table of
+    flat copy positions, ``q`` the largest link, whose pads point at one
+    sentinel slot past the copies; each copy's row; and each row's count of
+    pads.  ``link_starts`` begins at 0 and ends at the number of copies.
+    The projector keeps two buffers of the copies between calls, so it
+    serves one call at a time.  A call clips the copies, sums them per link
+    with ``segment_sums`` and projects the links over their cap, each with
+    the arithmetic the oracle applies to that link alone:
+
+    - Sort: the negated copies are gathered into the rows of the links over
+      their cap, with ``+inf`` in the sentinel slot, and sorted ascending.
+      That is the oracle's descending order, negated, with the pads last.
+      Negation is exact and rounding is symmetric about 0, so the
+      sequential ``cumsum`` of a row is the negated prefix sums ``-csum``;
+      ``-csum + cap`` is exactly ``-(csum - cap)``, and dividing by the
+      rank keeps the sign.
+    - Test: two floats differ by a nonzero float of the sign of their order,
+      so the oracle's ``s - (csum - cap) / rank > 0`` is
+      ``(-csum + cap) / rank > -s``.  A pad compares ``inf > inf`` and a
+      ``-inf`` copy ``inf > inf`` or ``nan > inf``: False, as in the oracle.
+      The last passing cell ``k``, or the link's last copy when none passes,
+      gives ``tau = (-csum[k] + cap) / (k + 1) = -theta``.
+    - Threshold: ``max(y + tau, 0)`` is the oracle's ``max(y - theta, 0)``.
+      The sums can differ only in the sign of a zero, and ``np.maximum``
+      returns its second operand, ``+0.0``, when both are zeros.  A link
+      under its cap takes ``tau = 0``, which leaves ``max(y, 0)``.
+    - Repair: while a link's canonical sum exceeds its cap, the excess comes
+      off its first maximum, the ``argmax`` of its row of clipped copies
+      with ``-inf`` in the sentinel slot.  ``segment_sums`` reduces each
+      link over its own copies, as the oracle reduces its one segment.
     """
 
     def __init__(self, link_starts: np.ndarray, capacities: np.ndarray):
         starts = np.asarray(link_starts, dtype=np.intp)
         sizes = np.diff(starts)
         links = np.nonzero(sizes > 0)[0]
+        sizes = sizes[links]
         self._starts = starts[links]
-        self._sizes = sizes[links]
         self._caps = np.asarray(capacities, dtype=np.float64)[links]
+        n = int(starts[-1]) if starts.size else 0
+        q = int(sizes.max()) if sizes.size else 0
+        cols = np.arange(q)
+        self._cells = np.where(cols < sizes[:, None], self._starts[:, None] + cols, n)
+        self._pads = q - sizes
+        self._row_ends = np.arange(sizes.size) * q + (q - 1)  # flat index of each row's last cell
+        self._ranks = np.arange(1.0, q + 1.0)
+        self._cap_column = self._caps[:, None]
+        self._copy_row = np.repeat(np.arange(sizes.size), sizes)
+        # copies with a sentinel slot: negated under ``+inf``, clipped over ``-inf``
+        self._negated = np.full(n + 1, np.inf)
+        self._clipped = np.full(n + 1, -np.inf)
 
     def apply(self, flat_values: np.ndarray, out: np.ndarray) -> None:
-        x = np.maximum(flat_values, 0.0)  # not in ``out``: it may alias ``flat_values``
+        x = self._clipped[:-1]  # not ``out``: it may alias ``flat_values``
+        np.maximum(flat_values, 0.0, out=x)
         if self._starts.size:
             # a NaN sum fails ``<=``: its link is projected and the repair raises
             over = ~(segment_sums(x, self._starts) <= self._caps)
             if over.any():
-                positions, values = self._project_over(flat_values, over)
-                x[positions] = values
+                self._threshold(flat_values, over, x)
+                self._repair(x)
         out[...] = x
 
-    def _project_over(self, flat_values: np.ndarray, over: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat positions and projected values of the links flagged ``over``."""
-        starts = self._starts[over]
-        sizes = self._sizes[over]
-        caps = self._caps[over]
-        m, q = starts.size, int(sizes.max())
-        cols = np.arange(q)
-        real = cols[None, :] < sizes[:, None]
-        positions = (starts[:, None] + cols[None, :])[real]
-        y = flat_values[positions]
-        padded = np.full((m, q), -np.inf)
-        padded[real] = y
-        s = np.sort(padded, axis=1)[:, ::-1]
-        csum = np.cumsum(s, axis=1)
-        ranks = np.arange(1, q + 1, dtype=np.float64)[None, :]
-        with np.errstate(invalid="ignore"):  # pads give -inf - -inf
-            positive = (s - (csum - caps[:, None]) / ranks > 0) & real
-        last = q - 1 - np.argmax(positive[:, ::-1], axis=1)
-        # a row with no positive entry takes its last real index
-        k = np.where(positive.any(axis=1), last, sizes - 1)
-        theta = (csum[np.arange(m), k] - caps) / (k + 1.0)
-        x = np.maximum(y - np.repeat(theta, sizes), 0.0)
-        _enforce_caps(x, padded, real, sizes, caps)
-        return positions, x
+    def _threshold(self, flat_values: np.ndarray, over: np.ndarray, x: np.ndarray) -> None:
+        """Set the copies of the links flagged ``over`` to ``max(y - theta, 0)``."""
+        np.negative(flat_values, out=self._negated[:-1])
+        rows = self._negated[self._cells[over]]
+        rows.sort(axis=1)
+        bounds = rows.cumsum(axis=1)
+        bounds += self._cap_column[over]
+        bounds /= self._ranks
+        # the last passing cell, or the row's last copy when none passes
+        back = np.maximum((bounds > rows)[:, ::-1].argmax(axis=1), self._pads[over])
+        tau = np.zeros(over.size)  # 0 leaves a link under its cap as clipped
+        tau[over] = bounds.ravel()[self._row_ends[: back.size] - back]
+        np.maximum(flat_values + tau[self._copy_row], 0.0, out=x)
 
-
-def _enforce_caps(
-    x: np.ndarray, padded: np.ndarray, real: np.ndarray, sizes: np.ndarray, caps: np.ndarray
-) -> None:
-    """Remove any rounding excess in place from every row of the flat
-    concatenation ``x``, so that each row's canonical sum is at most its cap.
-
-    Rows are ``sizes`` long; ``padded`` is scratch of shape ``real.shape``.
-    Each pass takes every row's canonical sum and, in each row still over
-    its cap, takes the excess off the row's first maximum (clipped at 0).
-    """
-    row_starts = np.zeros(sizes.size, dtype=np.intp)
-    np.cumsum(sizes[:-1], out=row_starts[1:])
-    for _ in range(64):
-        totals = segment_sums(x, row_starts)
-        still = ~(totals <= caps)
-        if not still.any():
-            return
-        padded[real] = x
-        at = row_starts[still] + np.argmax(padded[still], axis=1)
-        x[at] = np.maximum(x[at] - (totals[still] - caps[still]), 0.0)
-    raise ProjectionError("could not repair rounding excess")
+    def _repair(self, x: np.ndarray) -> None:
+        """Take any rounding excess off each link still over its cap, so that
+        every link's canonical sum is at most its cap."""
+        for _ in range(64):
+            totals = segment_sums(x, self._starts)
+            bad = ~(totals <= self._caps)
+            if not bad.any():
+                return
+            at = self._starts[bad] + self._clipped[self._cells[bad]].argmax(axis=1)
+            x[at] = np.maximum(x[at] - (totals[bad] - self._caps[bad]), 0.0)
+        raise ProjectionError("could not repair rounding excess")
 
 
 def project_polyhedron(instance: Instance, point: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,18 +107,39 @@ def test_batched_matches_single_bitwise():
     # a huge entry swamps the cap, so no descending prefix tests positive
     # and the threshold comes from the link's last entry, not from a pad
     cases.append((np.array([0, 2, 5]), np.array([1.0, 1.0]), np.array([1e17, 5.0, 1.0, 2.0, 3.0])))
+    # the -1e308 copies fit their cap once clipped; sorting their link with
+    # the one over its cap would overflow its prefix sums
+    cases.append((np.array([0, 3, 5]), np.array([2.0, 1.0]), np.array([3.0, 1.0, 2.0, -1e308, -1e308])))
     # every link under its cap: apply only clips, no link is projected
     cases.append((np.array([0, 2, 5]), np.array([10.0, 10.0]), np.array([1.0, -2.0, 0.5, 3.0, 0.0])))
+    # random layouts of links with 0 to 40 copies, so most rows are padded:
+    # ties, signed zeros and -inf copies (which clip to 0), caps 1e-4 to 1e3
+    for trial in range(60):
+        sizes = rng.integers(0, 41, size=int(rng.integers(1, 25)))
+        flat = rng.uniform(-3.0, 6.0, size=int(sizes.sum()))
+        if trial % 2:
+            flat = np.round(flat, 1)
+        flat[rng.random(flat.size) < 0.1] = -0.0
+        flat[rng.random(flat.size) < 0.03] = -np.inf
+        caps = 10.0 ** rng.uniform(-4.0, 3.0, size=sizes.size)
+        cases.append((np.concatenate(([0], np.cumsum(sizes))), caps, flat))
     for link_starts, capacities, flat in cases:
         proj = BatchedLinkProjector(link_starts, capacities)
         out = np.empty_like(flat)
-        proj.apply(flat, out=out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proj.apply(flat, out=out)
         for j in range(capacities.size):
             s, e = link_starts[j], link_starts[j + 1]
             if s == e:
                 continue
-            single = sort_threshold_projection(flat[s:e], capacities[j])
-            assert np.array_equal(out[s:e], single), f"link {j} diverged"
+            # the oracle's test reads -inf - -inf at a -inf copy
+            with np.errstate(invalid="ignore"):
+                single = sort_threshold_projection(flat[s:e], capacities[j])
+            # bytes, so that a flipped sign of a zero shows
+            assert out[s:e].tobytes() == single.tobytes(), f"link {j} diverged from the oracle"
+            alone = project_capped_simplex(flat[s:e], capacities[j])
+            assert out[s:e].tobytes() == alone.tobytes(), f"link {j} depends on its batch"
     # a non-finite copy: the batched projector and its one-link public call
     # raise instead of passing it through
     for bad in (np.nan, np.inf):
