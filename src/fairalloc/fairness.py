@@ -97,8 +97,8 @@ def _prox_half(v: np.ndarray, target: np.ndarray) -> np.ndarray:
     One Newton step on the cubic finishes either form.  Both forms are
     evaluated on every element and only elementwise ufuncs are used, so each
     result depends only on its own ``(v, target)``.  The step overflows only
-    on three-root elements with ``v`` above about 1e216; there, and for a
-    ``target`` that is not positive, this raises.
+    on three-root elements with ``v`` above about 1e216; there this raises.
+    ``target`` must be positive and finite, as ``prox_values`` checks.
     """
     m = v / 3.0
     root_m = np.sqrt(np.abs(m))
@@ -115,7 +115,7 @@ def _prox_half(v: np.ndarray, target: np.ndarray) -> np.ndarray:
     y = np.where(one_root, cardano, 2.0 * root_m * np.cos(angle))
     y = y - (y * (y * y - v) - target) / (3.0 * y * y - v)
     if not np.isfinite(y).all():
-        raise FairnessError("the alpha = 1/2 closed form found no finite root (overflow, or lam*w <= 0)")
+        raise FairnessError("the alpha = 1/2 closed form found no finite root (overflow)")
     # the root lies above v; keep rounding in y**2 from placing it below
     return np.maximum(y * y, v)
 
@@ -139,7 +139,8 @@ def prox_values(
     The iteration starts at the top of the bracket, or, given an elementwise
     ``start`` (finite, shaped like ``values``; the last prox output is a good
     one), at ``start`` clipped into the bracket.  The closed forms ignore it.
-    Non-finite ``values`` raise ``FairnessError`` on every branch.
+    Non-finite ``values``, and a weight that is not finite and > 0, raise
+    ``FairnessError`` on every branch.
 
     Each element's update sequence depends only on its own ``(v, lam*w,
     start)``, so the result is bitwise independent of how inputs are batched.
@@ -159,6 +160,9 @@ def prox_values(
         if start.shape != v.shape or not np.all(np.isfinite(start)):
             raise FairnessError("start must be finite and shaped like values")
     target = lam * w
+    # one reduction rejects a weight that is not finite and > 0 (NaN fails both)
+    if not ((target > 0.0) & (target < np.inf)).all():
+        raise FairnessError("weights must be finite and > 0, with lam * weights finite")
     if alpha == 1.0:
         return (v + np.sqrt(v * v + 4.0 * target)) / 2.0
     if alpha == 0.0:

@@ -118,6 +118,10 @@ def test_prox_rejects_non_finite_values():
             for bad in (np.nan, np.inf, -np.inf):
                 with pytest.raises(FairnessError, match="values"):
                     prox_values(alpha, w, np.array([bad, 1.0]), 1.0)
+            # a weight that is not finite and > 0, next to a valid one
+            for bad in (-1.0, 0.0, np.nan, np.inf):
+                with pytest.raises(FairnessError, match="weights"):
+                    prox_values(alpha, np.array([1.0, bad]), np.array([0.5, 1.0]), 1.0)
 
 
 @settings(max_examples=200, deadline=None)
