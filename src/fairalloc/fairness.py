@@ -162,7 +162,7 @@ def prox_values(
     target = lam * w
     # one reduction rejects a weight that is not finite and > 0 (NaN fails both)
     if not ((target > 0.0) & (target < np.inf)).all():
-        raise FairnessError("weights must be finite and > 0, with lam * weights finite")
+        raise FairnessError("weights must be finite and > 0, and so must lam * weights")
     if alpha == 1.0:
         return (v + np.sqrt(v * v + 4.0 * target)) / 2.0
     if alpha == 0.0:

@@ -2,10 +2,11 @@
 
 One kernel, :class:`BatchedLinkProjector`, projects every link of a flat
 copy layout onto its capped simplex ``{x >= 0, sum(x) <= C}`` in one call by
-the sort-and-threshold rule.  Its constructor lays the links out once as
-the rows of one padded table; a call sorts only the rows of the links over
-their cap, negated, so that the ``+inf`` pads sort last and every prefix sum
-of a link's copies is exactly the negation of the one its own sort gives.
+the sort-and-threshold rule.  It lays the links out once, at the first call
+that finds a link over its cap, as the rows of one padded table; a call
+sorts only the rows of the links over their cap, negated, so that the
+``+inf`` pads sort last and every prefix sum of a link's copies is exactly
+the negation of the one its own sort gives.
 Each step decides a link from its own copies alone, so a link's result is
 the same bits whichever links share the call.  That is what lets a
 vectorized solver and a per-node simulation of the same algorithm agree to
@@ -80,10 +81,12 @@ def project_capped_simplex(values: np.ndarray, cap: float) -> np.ndarray:
 class BatchedLinkProjector:
     """Per-link capped-simplex projection over a flat copy layout.
 
-    The constructor lays out the padded rows once: a ``(links, q)`` table of
-    flat copy positions, ``q`` the largest link, whose pads point at one
-    sentinel slot past the copies; each copy's row; and each row's count of
-    pads.  ``link_starts`` begins at 0 and ends at the number of copies.
+    The padded rows are laid out once, at the first call that finds a link
+    over its cap, so that building a projector stays cheap: a ``(links, q)``
+    table of flat copy positions, ``q`` the largest link, whose pads point
+    at one sentinel slot past the copies; each copy's row; and each row's
+    count of pads.  ``link_starts`` begins at 0 and ends at the number of
+    copies.
     The projector keeps two buffers of the copies between calls, so it
     serves one call at a time.  A call clips the copies, sums them per link
     with ``segment_sums`` and projects the links over their cap, each with
@@ -116,11 +119,17 @@ class BatchedLinkProjector:
         starts = np.asarray(link_starts, dtype=np.intp)
         sizes = np.diff(starts)
         links = np.nonzero(sizes > 0)[0]
-        sizes = sizes[links]
         self._starts = starts[links]
+        self._sizes = sizes[links]
         self._caps = np.asarray(capacities, dtype=np.float64)[links]
-        n = int(starts[-1]) if starts.size else 0
-        q = int(sizes.max()) if sizes.size else 0
+        # the copies and a sentinel slot: clipped over ``-inf``
+        self._clipped = np.full((int(starts[-1]) if starts.size else 0) + 1, -np.inf)
+        self._cells = None  # the padded table, from ``_lay_out``
+
+    def _lay_out(self) -> None:
+        """Build the padded table of copy positions and its row indexes."""
+        sizes, n = self._sizes, self._clipped.size - 1
+        q = int(sizes.max())
         cols = np.arange(q)
         self._cells = np.where(cols < sizes[:, None], self._starts[:, None] + cols, n)
         self._pads = q - sizes
@@ -128,9 +137,8 @@ class BatchedLinkProjector:
         self._ranks = np.arange(1.0, q + 1.0)
         self._cap_column = self._caps[:, None]
         self._copy_row = np.repeat(np.arange(sizes.size), sizes)
-        # copies with a sentinel slot: negated under ``+inf``, clipped over ``-inf``
+        # the copies negated, under ``+inf`` in the sentinel slot
         self._negated = np.full(n + 1, np.inf)
-        self._clipped = np.full(n + 1, -np.inf)
 
     def apply(self, flat_values: np.ndarray, out: np.ndarray) -> None:
         x = self._clipped[:-1]  # not ``out``: it may alias ``flat_values``
@@ -139,6 +147,8 @@ class BatchedLinkProjector:
             # a NaN sum fails ``<=``: its link is projected and the repair raises
             over = ~(segment_sums(x, self._starts) <= self._caps)
             if over.any():
+                if self._cells is None:
+                    self._lay_out()
                 self._threshold(flat_values, over, x)
                 self._repair(x)
         out[...] = x
